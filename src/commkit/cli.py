@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .constructions import (
-    halmos_nilpotent_majorant,
     halmos_pair_scaled,
     nilpotent_commutator_factors,
     trace_zero_commutator_factors,
@@ -33,11 +31,11 @@ from .matrices import (
     entrywise_leq,
     matrix_to_json_dict,
     max_abs,
-    operator_norm,
     read_matrix,
 )
 from .verdict import Verdict
 from .verifiers import (
+    certified_halmos_popa_check,
     finite_dim_obstructions,
     popa_bound,
     power_inequality_report,
@@ -159,42 +157,35 @@ def _nil_index_verdict(pair, depth: int) -> Verdict:
     )
 
 
-def _norm_row(pair, eps: float, window: int, rel_tol: float = 1e-6) -> dict[str, Any]:
+def _norm_row(pair, eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
+    """Table row and verdict of the certified popa check at one grid point.
+
+    An unconverged norm marks the row instead of aborting the run; its
+    verdict is then None.
+    """
     row: dict[str, Any] = {"eps": eps, "window": window, "converged": True}
     try:
-        lower_a = operator_norm(compress(pair.a, window, eps), rel_tol=rel_tol).lower
-        lower_b = operator_norm(compress(pair.b, window, eps), rel_tol=rel_tol).lower
-        lower_n = operator_norm(compress(pair.nilpotent, window, eps), rel_tol=rel_tol).lower
+        vd = certified_halmos_popa_check(eps, window, pair=pair)
     except UnconvergedError as exc:
         row["converged"] = False
         row["error"] = str(exc)
-        return row
-    upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
-    bound = 0.5 * math.log(1.0 / upper_n)
-    row.update(
-        norm_a_lower=lower_a,
-        norm_b_lower=lower_b,
-        norm_n_lower=lower_n,
-        norm_n_upper=upper_n,
-        bound=bound,
-        margin=lower_a * lower_b - bound,
-    )
-    return row
+        return row, None
+    for key in ("norm_a_lower", "norm_b_lower", "norm_n_lower", "norm_n_upper", "bound"):
+        row[key] = vd.inputs[key]
+    row["margin"] = vd.margin
+    return row, vd
 
 
 def _cmd_construct_halmos(args) -> RunReport:
     eps = args.eps
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("--eps must lie in (0, 1]")
-    if args.window < 16:
-        raise ValueError("--window must be at least 16")
     pair = halmos_pair_scaled()
+    # The library check validates eps and window before anything is built.
+    row, _ = _norm_row(pair, eps, args.window)
     depth = max(args.window, _EXACT_CHECK_DEPTH)
     verdicts = [
         _exact_identity_verdict(pair, depth),
         _nil_index_verdict(pair, depth),
     ]
-    row = _norm_row(pair, eps, args.window)
     payload = {
         "eps": eps,
         "window": args.window,
@@ -306,21 +297,12 @@ def _cmd_sweep(args) -> RunReport:
     verdicts = []
     notes = []
     for eps in grid:
-        row = _norm_row(pair, eps, args.window)
+        row, vd = _norm_row(pair, eps, args.window)
         rows.append(row)
-        if not row["converged"]:
-            continue
-        product = row["norm_a_lower"] * row["norm_b_lower"]
-        margin = product - row["bound"]
-        verdicts.append(
-            Verdict(
-                passed=margin >= 0.0,
-                claim=f"certified-popa-eps-{eps:g}",
-                witness=None if margin >= 0.0 else {"product": product, "bound": row["bound"]},
-                margin=margin,
-                inputs={"eps": eps, "window": args.window},
-            )
-        )
+        if vd is not None:
+            verdicts.append(dataclasses.replace(
+                vd, claim=f"certified-popa-eps-{eps:g}", inputs={"eps": eps, "window": args.window}
+            ))
     slopes = None
     good = [r for r in rows if r["converged"]]
     if len(good) < len(rows):

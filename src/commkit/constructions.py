@@ -151,32 +151,31 @@ def self_commutator_isometry() -> tuple[LazyOp, LazyOp]:
 
 
 def _support_cycle(c: np.ndarray) -> list[int]:
-    """One directed cycle of the support digraph, as 1-based indices."""
+    """One directed cycle of the support digraph, as 1-based indices.
+
+    Depth-first search with an explicit stack, so supports with cycles of
+    any length are handled without recursion.
+    """
     n = c.shape[0]
     support = c > 0.0
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[int] = []
-
-    def dfs(i: int) -> list[int] | None:
-        color[i] = 1
-        stack.append(i)
-        for j in np.nonzero(support[i])[0]:
-            j = int(j)
-            if color[j] == 1:
-                return stack[stack.index(j):] + [j]
-            if color[j] == 0:
-                found = dfs(j)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[i] = 2
-        return None
-
+    color = [0] * n  # 0 unvisited, 1 on path, 2 done
     for start in range(n):
-        if color[start] == 0:
-            cycle = dfs(start)
-            if cycle is not None:
-                return [k + 1 for k in cycle]
+        if color[start] != 0:
+            continue
+        color[start] = 1
+        path = [start]
+        successors = [iter(np.nonzero(support[start])[0].tolist())]
+        while path:
+            j = next(successors[-1], None)
+            if j is None:
+                color[path.pop()] = 2
+                successors.pop()
+            elif color[j] == 1:
+                return [k + 1 for k in path[path.index(j):] + [j]]
+            elif color[j] == 0:
+                color[j] = 1
+                path.append(j)
+                successors.append(iter(np.nonzero(support[j])[0].tolist()))
     raise AssertionError("no cycle found in a non-triangularizable support")
 
 

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class UnconvergedError(RuntimeError):
-    """An iteration budget ran out before the requested tolerance was met.
+    """A bound could not be certified to the requested tolerance.
 
     Carries the best data available at the point of failure so callers can
     still report something useful.
@@ -138,9 +138,10 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
 class NormCertificate:
     """A certified bracket [lower, upper] for the spectral norm.
 
-    lower_method is one of {"compression", "power-iteration"} and
-    upper_method one of {"block-bound", "exact", "power-iteration-with-residual"},
-    recording how each side was certified.
+    lower_method is one of {"eigenvector", "column-norm", "exact"} and
+    upper_method one of {"weyl-enclosure", "norm-cap", "exact"}, recording
+    which bound of operator_norm certified each side ("exact" only for the
+    zero matrix).
     """
 
     lower: float
@@ -153,113 +154,107 @@ class NormCertificate:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
-def _probe_vector(n: int) -> np.ndarray:
-    v = np.random.default_rng(0x5EED).standard_normal(n)
-    return v / np.linalg.norm(v)
+_U = 2.0**-53  # unit roundoff of float64
 
 
-def _accelerated_start(gram: np.ndarray, n: int) -> np.ndarray:
-    """Start vector for power iteration on the Gram matrix.
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error of k chained roundings."""
+    return k * _U / (1.0 - k * _U)
 
-    Applies the all-ones vector to a repeatedly squared (and renormalized)
-    copy of the Gram matrix, which is power iteration with a doubling step:
-    it resolves clustered top singular values that plain iteration cannot
-    separate in any reasonable budget.  Certificates are still computed
-    against the original Gram matrix, so this only changes the start.
+
+def _up(x: float, k: int) -> float:
+    """Upper bound on a nonnegative quantity that x computes with k roundings.
+
+    The true value is at most x / (1 - gamma_k) <= x (1 + gamma_(k+1)); the
+    factor 2 and nextafter absorb the roundings of this expression itself.
     """
-    fro = float(np.sqrt((gram * gram).sum()))
-    v = np.full(n, 1.0 / math.sqrt(n))
-    if fro == 0.0:
-        return v
-    m = gram / fro
-    for _ in range(30):
-        m2 = m @ m
-        f = float(np.sqrt((m2 * m2).sum()))
-        if not math.isfinite(f) or f == 0.0:
-            break
-        m2 /= f
-        drift = float(np.sqrt(((m2 - m) ** 2).sum()))
-        m = m2
-        if drift <= 1e-12:
-            break
-    w = m @ v
-    norm_w = float(np.linalg.norm(w))
-    if norm_w < 1e-12:
-        # all-ones is (numerically) orthogonal to the top eigenspace
-        w = m @ _probe_vector(n)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return v
-    return w / norm_w
+    return math.nextafter(x * (1.0 + 2.0 * _gamma(k + 1)), math.inf)
 
 
-def operator_norm(a, rel_tol: float = 1e-10, max_iter: int = 10_000) -> NormCertificate:
+def _down(x: float, k: int) -> float:
+    """Lower bound on a nonnegative quantity that x computes with k roundings.
+
+    The true value is at least x / (1 + gamma_k) >= x (1 - gamma_k).
+    """
+    return max(math.nextafter(x * (1.0 - 2.0 * _gamma(k)), 0.0), 0.0)
+
+
+def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     """Bracket the spectral norm with (upper - lower) / upper <= rel_tol.
 
-    Power iteration on the Gram matrix A^T A, started from the all-ones
-    vector pushed through a squared-Gram accelerator (see
-    _accelerated_start).  The lower side is certified by the Rayleigh
-    quotient and by the best column norm; the upper side by the residual
-    bound sqrt(theta + r) capped with sqrt(|A|_1 |A|_inf) and the Frobenius
-    norm.  If the start stalls on an exact non-top eigenvector of the Gram
-    matrix, the iteration restarts once from a fixed pseudorandom probe.
+    Both sides come from one eigendecomposition G = V diag(lam) V^T of the
+    computed Gram matrix G = fl(A^T A), A of shape m x n.  Here |.| is the
+    spectral norm, abs(.) the entrywise absolute value, u = 2**-53 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, ch. 3).
 
-    Raises UnconvergedError (carrying the best bracket) when the iteration
-    budget runs out.
+    Lower side: |A| >= |A v| / |v| for every v != 0, here the top
+    eigenvector.  fl(A v) lies within gamma_n abs(A) abs(v) of A v, and
+    |abs(A)| <= c = min(|A|_F, sqrt(|A|_1 |A|_inf)), so the computed ratio
+    minus gamma_n c is a lower bound; so is the best column norm.
+
+    Upper side: abs(G - A^T A) <= gamma_m abs(A)^T abs(A), so for unit x,
+    x^T A^T A x <= x^T G x + gamma_m c^2.  With R = G - V diag(lam) V^T and
+    eta >= |V^T V - I|, Weyl's bound gives x^T G x <= lam_max (1 + eta) +
+    |R|_F.  Forming R and V^T V - I in floating point adds at most
+    gamma_n |V|_F^2 max|lam| and gamma_n |V|_F^2.  c caps the result.
+
+    Every sum, product, norm and square root entering a bound is widened
+    outward by its own gamma_k, so both sides are one-sided for signed and
+    nonnegative inputs alike.  A is first scaled by a power of two so its
+    largest entry lies in [1/2, 1): nothing overflows, and underflow
+    (absolute error 2**-1074 per operation) stays below the extra unit
+    roundoff each gamma term carries for it.  UnconvergedError, carrying
+    the bracket, is raised when rounding alone leaves it wider than rel_tol.
     """
     a = as_matrix(a)
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    abs_a = np.abs(a)
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return NormCertificate(0.0, 0.0, "power-iteration", "exact")
-    cap = float(min(fro, math.sqrt(abs_a.sum(axis=0).max() * abs_a.sum(axis=1).max())))
-    col_floor = float(np.sqrt((a * a).sum(axis=0).max()))
-    n = a.shape[1]
-    gram = a.T @ a
-    v = _accelerated_start(gram, n)
-    probed = False
-    lower, upper = col_floor, cap
-    for _ in range(max_iter):
-        w = gram @ v
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        lower = max(math.sqrt(max(theta, 0.0)), col_floor)
-        upper = min(math.sqrt(max(theta + resid, 0.0)), cap)
-        if upper < lower:
-            if lower - upper <= 1e-9 * lower:
-                # crossing by rounding dust only
-                upper = lower
-            else:
-                # The residual bracket excludes the certified column bound,
-                # so the iterate is pinned away from the top singular pair;
-                # the residual information is unusable here.
-                upper = cap
-        if upper - lower <= rel_tol * upper:
-            if not probed:
-                # Guard against the all-ones start being an exact non-top
-                # eigenvector: accept only if a generic probe cannot beat it.
-                probed = True
-                probe = _probe_vector(n)
-                if float(probe @ (gram @ probe)) > theta * (1.0 + rel_tol) + 1e-30:
-                    v = probe
-                    continue
-            return NormCertificate(lower, upper, "power-iteration", "power-iteration-with-residual")
-        norm_w = float(np.linalg.norm(w))
-        if (norm_w == 0.0 or resid <= 1e-13 * max(theta, 1.0)) and not probed:
-            probed = True
-            v = _probe_vector(n)
-            continue
-        if norm_w == 0.0:
-            break
-        v = w / norm_w
-    raise UnconvergedError(
-        f"operator norm power iteration did not reach rel_tol={rel_tol} "
-        f"within {max_iter} iterations; best bracket [{lower}, {upper}]",
-        lower=lower,
-        upper=upper,
+    top_entry = float(np.abs(a).max())
+    if top_entry == 0.0:
+        return NormCertificate(0.0, 0.0, "exact", "exact")
+    exponent = math.frexp(top_entry)[1]
+    s = np.ldexp(a, -exponent, out=a)  # in place: as_matrix returned a copy
+    m, n = s.shape
+    col_sq = (s * s).sum(axis=0)
+    cap2 = min(
+        _up(float(col_sq.sum()), m * n),
+        _up(float(np.abs(s).sum(axis=0).max() * np.abs(s).sum(axis=1).max()), m + n),
     )
+    cap = _up(math.sqrt(cap2), 1)
+    column = _down(math.sqrt(float(col_sq.max())), m + 1)
+
+    gram = s.T @ s
+    lam, vecs = np.linalg.eigh(gram)
+    top = vecs[:, -1]
+    ratio = float(np.linalg.norm(s @ top) / np.linalg.norm(top))
+    eigenvector = _down(ratio, m + n + 3) - _up(_gamma(n + 1) * cap, 1)
+    eigenvector = math.nextafter(eigenvector, -math.inf)
+
+    ortho = vecs.T @ vecs
+    frob_v2 = _up(float(np.trace(ortho)), 2 * n)
+    ortho[np.diag_indices(n)] -= 1.0
+    eta = _up(float(np.linalg.norm(ortho)), n * n + 2) + _gamma(n + 2) * frob_v2
+    resid = (vecs * lam) @ vecs.T
+    np.subtract(gram, resid, out=resid)
+    weyl2 = (
+        max(float(lam[-1]), 0.0) * (1.0 + eta)
+        + _up(float(np.linalg.norm(resid)), n * n + 2)
+        + _gamma(n + 2) * float(np.abs(lam).max()) * frob_v2
+        + _gamma(m + 1) * cap2
+    )
+    weyl = _up(math.sqrt(_up(weyl2, 8)), 1)
+
+    lower, lower_method = max((eigenvector, "eigenvector"), (column, "column-norm"))
+    upper, upper_method = min((weyl, "weyl-enclosure"), (cap, "norm-cap"))
+    lower, upper = math.ldexp(lower, exponent), math.ldexp(upper, exponent)
+    if upper - lower > rel_tol * upper:
+        raise UnconvergedError(
+            f"operator norm bracket [{lower}, {upper}] is wider than rel_tol={rel_tol} "
+            "after rounding",
+            lower=lower,
+            upper=upper,
+        )
+    return NormCertificate(lower, upper, lower_method, upper_method)
 
 
 def spectral_radius(a, rel_tol: float = 1e-10, max_squarings: int = 40) -> float:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .constructions import halmos_nilpotent_majorant, halmos_pair_scaled
+from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
 from .lazyops import compress
 from .matrices import (
     as_matrix,
@@ -26,6 +26,7 @@ from .matrices import (
 from .verdict import Verdict
 
 __all__ = [
+    "MAX_WINDOW",
     "certified_halmos_popa_check",
     "delta_threshold",
     "finite_dim_obstructions",
@@ -257,10 +258,16 @@ def finite_dim_obstructions(
     return [hyp, trace_vd, spec_vd, idem_vd]
 
 
+# Largest finite section the certified check builds.  At this window the
+# dense sections plus the eigendecomposition workspace take about 1 GB.
+MAX_WINDOW = 4096
+
+
 def certified_halmos_popa_check(
     eps: float,
     window: int = 512,
     rel_tol: float = 1e-6,
+    pair: HalmosPair | None = None,
 ) -> Verdict:
     """One-sided certified check of the norm lower bound on the scaled pair.
 
@@ -270,14 +277,24 @@ def certified_halmos_popa_check(
     majorant, then checks L_a * L_b >= (1/2) ln(1 / U).  Only
     one-sided certificates enter, so a pass is a genuine certificate of the
     bound; a certified violation would indicate an implementation bug.
+    The inputs also report the section lower bound L_n <= |nilpotent|.
+
+    ``pair`` defaults to a fresh halmos_pair_scaled(); passing one pair to
+    several calls reuses its memoized columns.  Raises ValueError for eps
+    outside (0, 1] or a window outside [16, MAX_WINDOW], before any
+    section is built.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     if window < 16:
         raise ValueError("window must be at least 16")
-    pair = halmos_pair_scaled()
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
+    if pair is None:
+        pair = halmos_pair_scaled()
     lower_a = operator_norm(compress(pair.a, window, eps), rel_tol=rel_tol).lower
     lower_b = operator_norm(compress(pair.b, window, eps), rel_tol=rel_tol).lower
+    lower_n = operator_norm(compress(pair.nilpotent, window, eps), rel_tol=rel_tol).lower
     upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
     product = lower_a * lower_b
     bound = 0.5 * math.log(1.0 / upper_n)
@@ -296,6 +313,7 @@ def certified_halmos_popa_check(
             "window": window,
             "norm_a_lower": lower_a,
             "norm_b_lower": lower_b,
+            "norm_n_lower": lower_n,
             "norm_n_upper": upper_n,
             "bound": bound,
         },

@@ -44,6 +44,13 @@ class TestConstructHalmos:
         assert code == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_oversized_window_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run("construct-halmos", "--eps", 0.5, "--window", 1_000_000, "--out", out)
+        assert code == 2
+        assert "window must be at most 4096" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path_is_input_error(self, tmp_path):
         code = run("construct-halmos", "--eps", 1, "--window", 16, "--out", tmp_path / "no" / "x.json")
         assert code == 2
@@ -77,6 +84,21 @@ class TestFactor:
         code = run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", tmp_path / "o.json")
         assert code == 2
         assert "not nilpotent" in capsys.readouterr().err
+
+    def test_long_cycle_is_input_error_without_recursion(self, tmp_path, capsys):
+        # The support 1 -> 2 -> ... -> 3000 -> 1 is one cycle through every
+        # index, deeper than Python's default recursion limit.
+        n = 3000
+        rows = ("0," * ((i + 1) % n) + "1" + ",0" * (n - 1 - (i + 1) % n) for i in range(n))
+        c = tmp_path / "cycle.json"
+        c.write_text(f'{{"rows": {n}, "cols": {n}, "data": [{",".join(rows)}]}}', encoding="utf-8")
+        code = run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", tmp_path / "o.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not nilpotent" in err
+        cycle = "->".join(str(k) for k in [*range(1, n + 1), 1])
+        assert f"support cycle {cycle}" in err
+        assert "Traceback" not in err
 
     def test_missing_eps_is_input_error(self, tmp_path, capsys):
         c = tmp_path / "c.json"
@@ -183,6 +205,12 @@ class TestSweep:
 
     def test_rejects_small_window(self, tmp_path):
         assert run("sweep", "--grid", "0.5", "--window", 32, "--out", tmp_path / "s.json") == 2
+
+    def test_rejects_oversized_window(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run("sweep", "--grid", "0.5", "--window", 1_000_000, "--out", out) == 2
+        assert "window must be at most 4096" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportContract:

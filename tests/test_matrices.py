@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from commkit.constructions import halmos_pair_scaled
+from commkit.lazyops import compress
 from commkit.matrices import (
     UnconvergedError,
     as_matrix,
@@ -175,8 +177,11 @@ class TestOperatorNorm:
 
     def test_method_tags(self):
         cert = operator_norm(np.diag([2.0, 1.0]))
-        assert cert.lower_method == "power-iteration"
-        assert cert.upper_method == "power-iteration-with-residual"
+        assert cert.lower_method == "column-norm"
+        assert cert.upper_method == "norm-cap"
+        cert = operator_norm([[1.0, 2.0], [3.0, 4.0]])
+        assert cert.lower_method == "eigenvector"
+        assert cert.upper_method == "weyl-enclosure"
 
     def test_bracket_contains_exact_oracle(self):
         rng = np.random.default_rng(11)
@@ -203,7 +208,7 @@ class TestOperatorNorm:
     def test_unconverged_carries_bracket(self):
         a = np.random.default_rng(3).standard_normal((6, 6))
         with pytest.raises(UnconvergedError) as err:
-            operator_norm(a, rel_tol=1e-17, max_iter=40)
+            operator_norm(a, rel_tol=1e-17)
         assert 0.0 <= err.value.data["lower"] <= err.value.data["upper"]
 
     def test_rejects_bad_rel_tol(self):
@@ -219,6 +224,30 @@ class TestOperatorNorm:
             ca, cb = operator_norm(a), operator_norm(b)
             assert ca.upper <= cb.upper + 1e-9
             assert ca.lower <= cb.lower + 1e-9
+
+
+class TestOperatorNormSvdOracle:
+    """Brackets against LAPACK's SVD, an independent algorithm."""
+
+    @staticmethod
+    def assert_tight_bracket(m):
+        cert = operator_norm(m)
+        truth = np.linalg.svd(m, compute_uv=False)[0]
+        assert cert.lower <= truth <= cert.upper
+        assert (cert.upper - cert.lower) / cert.upper <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
+    @pytest.mark.parametrize("name", ["a", "b", "nilpotent"])
+    def test_halmos_sections(self, name, eps):
+        section = compress(getattr(halmos_pair_scaled(), name), 128, eps)
+        self.assert_tight_bracket(section)
+
+    def test_signed_wide_dynamic_range(self):
+        rng = np.random.default_rng(7)
+        signs = rng.choice([-1.0, 1.0], (40, 30))
+        m = signs * 10.0 ** rng.uniform(-6.0, 6.0, (40, 30))
+        assert np.abs(m).min() < 1e-5 and np.abs(m).max() > 1e5
+        self.assert_tight_bracket(m)
 
 
 class TestSpectralRadius:

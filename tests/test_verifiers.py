@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from commkit.constructions import halmos_pair_scaled
 from commkit.matrices import commutator, identity
 from commkit.verifiers import (
     certified_halmos_popa_check,
@@ -259,3 +260,13 @@ class TestCertifiedCheck:
             certified_halmos_popa_check(1.5)
         with pytest.raises(ValueError):
             certified_halmos_popa_check(0.5, window=8)
+
+    def test_rejects_oversized_window(self):
+        with pytest.raises(ValueError, match="at most 4096"):
+            certified_halmos_popa_check(0.5, window=4097)
+
+    def test_reuses_given_pair(self):
+        pair = halmos_pair_scaled()
+        vd = certified_halmos_popa_check(0.2, window=64, pair=pair)
+        assert vd == certified_halmos_popa_check(0.2, window=64)
+        assert 0.0 < vd.inputs["norm_n_lower"] <= vd.inputs["norm_n_upper"]
