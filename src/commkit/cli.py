@@ -36,7 +36,9 @@ from .matrices import (
 from .verdict import Verdict
 from .verifiers import (
     certified_halmos_popa_check,
+    exact_commutator_identity_check,
     finite_dim_obstructions,
+    nil_index_three_check,
     popa_bound,
     power_inequality_report,
     wielandt_violation_witness,
@@ -106,57 +108,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _exact_identity_verdict(pair, depth: int) -> Verdict:
-    defect = pair.commutator_defect()
-    for g in range(1, depth + 1):
-        col = defect.apply(g)
-        if col:
-            idx, value = next(iter(col.items()))
-            return Verdict(
-                passed=False,
-                claim="exact-commutator-identity",
-                witness={"column": g, "basis_index": idx, "value": repr(value)},
-                inputs={"columns_checked": depth},
-            )
-    return Verdict(
-        passed=True,
-        claim="exact-commutator-identity",
-        witness=None,
-        margin=0.0,
-        inputs={"columns_checked": depth},
-    )
-
-
-def _nil_index_verdict(pair, depth: int) -> Verdict:
-    nil = pair.nilpotent
-    cube = nil @ nil @ nil
-    for g in range(1, depth + 1):
-        col = cube.apply(g)
-        if col:
-            return Verdict(
-                passed=False,
-                claim="nil-index-three",
-                witness={"cube_column": g, "support": sorted(col)},
-                inputs={"columns_checked": depth},
-            )
-    square = nil @ nil
-    square_support = next((g for g in range(1, 65) if square.apply(g)), None)
-    if square_support is None:
-        return Verdict(
-            passed=False,
-            claim="nil-index-three",
-            witness={"inconsistency": "square vanished on all columns up to 64"},
-            inputs={"columns_checked": depth},
-        )
-    return Verdict(
-        passed=True,
-        claim="nil-index-three",
-        witness=None,
-        margin=None,
-        inputs={"columns_checked": depth, "square_nonzero_column": square_support},
-    )
-
-
 def _norm_row(pair, eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
     """Table row and verdict of the certified popa check at one grid point.
 
@@ -183,8 +134,8 @@ def _cmd_construct_halmos(args) -> RunReport:
     row, _ = _norm_row(pair, eps, args.window)
     depth = max(args.window, _EXACT_CHECK_DEPTH)
     verdicts = [
-        _exact_identity_verdict(pair, depth),
-        _nil_index_verdict(pair, depth),
+        exact_commutator_identity_check(pair, depth),
+        nil_index_three_check(pair, depth),
     ]
     payload = {
         "eps": eps,

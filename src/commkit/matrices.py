@@ -141,13 +141,16 @@ class NormCertificate:
     lower_method is one of {"eigenvector", "column-norm", "exact"} and
     upper_method one of {"weyl-enclosure", "norm-cap", "exact"}, recording
     which bound of operator_norm certified each side ("exact" only for the
-    zero matrix).
+    zero matrix).  components is the number of connected components of the
+    row/column support the bracket was assembled from: 1 for the zero
+    matrix and for a connected support, which is certified whole.
     """
 
     lower: float
     upper: float
     lower_method: str
     upper_method: str
+    components: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lower <= self.upper):
@@ -182,10 +185,22 @@ def _down(x: float, k: int) -> float:
 def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     """Bracket the spectral norm with (upper - lower) / upper <= rel_tol.
 
-    Both sides come from one eigendecomposition G = V diag(lam) V^T of the
-    computed Gram matrix G = fl(A^T A), A of shape m x n.  Here |.| is the
-    spectral norm, abs(.) the entrywise absolute value, u = 2**-53 and
-    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, ch. 3).
+    A is split along the connected components of its bipartite support
+    graph: rows i and columns j are the nodes, and every nonzero a[i, j] is
+    an edge.  Rows and columns of different components share no nonzero
+    entry, so permuting rows and columns (isometries) turns A into the
+    direct sum of the component blocks A_k plus zero rows and columns, and
+    |A| = max_k |A_k|.  Each A_k is an exact copy of entries of A, so a
+    certificate of A_k is one for the block of A, and the bracket is
+    (max_k lower_k, max_k upper_k), tagged by the blocks that attain the
+    maxima.  Equal blocks have equal norms, so each distinct block is
+    certified once.  A connected support is certified whole.
+
+    Each block's certificate comes from one eigendecomposition
+    G = V diag(lam) V^T of the computed Gram matrix G = fl(A^T A), A of
+    shape m x n.  Here |.| is the spectral norm, abs(.) the entrywise
+    absolute value, u = 2**-53 and gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability, ch. 3).
 
     Lower side: |A| >= |A v| / |v| for every v != 0, here the top
     eigenvector.  fl(A v) lies within gamma_n abs(A) abs(v) of A v, and
@@ -209,11 +224,38 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     a = as_matrix(a)
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    top_entry = float(np.abs(a).max())
-    if top_entry == 0.0:
+    support = a != 0.0
+    if not support.any():
         return NormCertificate(0.0, 0.0, "exact", "exact")
+    split = _component_blocks(a, support)
+    if split is None:
+        cert = _dense_certificate(a)  # in place: as_matrix returned a copy
+    else:
+        count, blocks = split
+        certs = [_dense_certificate(block) for block in blocks]
+        lower = max(certs, key=lambda c: c.lower)
+        upper = max(certs, key=lambda c: c.upper)
+        cert = NormCertificate(
+            lower.lower, upper.upper, lower.lower_method, upper.upper_method, count
+        )
+    if cert.upper - cert.lower > rel_tol * cert.upper:
+        raise UnconvergedError(
+            f"operator norm bracket [{cert.lower}, {cert.upper}] is wider than "
+            f"rel_tol={rel_tol} after rounding",
+            lower=cert.lower,
+            upper=cert.upper,
+        )
+    return cert
+
+
+def _dense_certificate(a: np.ndarray) -> NormCertificate:
+    """The eigendecomposition certificate of operator_norm for a nonzero a.
+
+    Scales ``a`` in place.  The bracket is returned however wide it is.
+    """
+    top_entry = float(np.abs(a).max())
     exponent = math.frexp(top_entry)[1]
-    s = np.ldexp(a, -exponent, out=a)  # in place: as_matrix returned a copy
+    s = np.ldexp(a, -exponent, out=a)
     m, n = s.shape
     col_sq = (s * s).sum(axis=0)
     cap2 = min(
@@ -246,15 +288,82 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
 
     lower, lower_method = max((eigenvector, "eigenvector"), (column, "column-norm"))
     upper, upper_method = min((weyl, "weyl-enclosure"), (cap, "norm-cap"))
-    lower, upper = math.ldexp(lower, exponent), math.ldexp(upper, exponent)
-    if upper - lower > rel_tol * upper:
-        raise UnconvergedError(
-            f"operator norm bracket [{lower}, {upper}] is wider than rel_tol={rel_tol} "
-            "after rounding",
-            lower=lower,
-            upper=upper,
-        )
-    return NormCertificate(lower, upper, lower_method, upper_method)
+    return NormCertificate(
+        math.ldexp(lower, exponent), math.ldexp(upper, exponent), lower_method, upper_method
+    )
+
+
+def _hook(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Merge the components of the edges (u, v) into the forest ``parent``.
+
+    Min-label hooking: each root joined by an edge to a smaller root is
+    hooked onto the smallest such root, and pointer jumping then points
+    every node at its root again.  parent[x] <= x throughout, so no cycle
+    forms; edges inside one component are dropped for good.
+    """
+    while True:
+        pu, pv = parent[u], parent[v]
+        cross = pu != pv
+        if not cross.any():
+            return
+        u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent[:] = jumped
+
+
+def _component_blocks(
+    a: np.ndarray, support: np.ndarray
+) -> tuple[int, list[np.ndarray]] | None:
+    """Split a along the connected components of its row/column support.
+
+    Returns None for a connected support; otherwise the number of
+    components and the distinct component blocks, each with its rows and
+    columns in their original order.  Zero rows and columns belong to no
+    block.
+    """
+    m, n = support.shape
+    rows, cols = np.arange(m), np.arange(n)
+    live_rows = rows[support.any(axis=1)]
+    live_cols = cols[support.any(axis=0)]
+    parent = np.arange(m + n)
+    # Borůvka rounds on the dense support: every row and column with an edge
+    # to another component hooks along its first such edge, so the number
+    # of components that still have such an edge at least halves per round.
+    # A round costs O(m n) and never lists the edges, which on a dense
+    # support would be most of the matrix.
+    cross = support
+    while cross.any():
+        first_col, first_row = cross.argmax(axis=1), cross.argmax(axis=0)
+        r = rows[cross[rows, first_col]]
+        c = cols[cross[first_row, cols]]
+        _hook(parent, np.concatenate([r, first_row[c]]), np.concatenate([first_col[r], c]) + m)
+        cross = support & (parent[:m, None] != parent[None, m:])
+
+    roots, row_comp = np.unique(parent[live_rows], return_inverse=True)
+    count = roots.size
+    if count == 1:
+        return None
+    col_comp = np.searchsorted(roots, parent[live_cols + m])
+    row_sizes = np.bincount(row_comp, minlength=count)
+    col_sizes = np.bincount(col_comp, minlength=count)
+    # Stable sorts keep each component's rows and columns in original order.
+    row_order = live_rows[np.argsort(row_comp, kind="stable")]
+    col_order = live_cols[np.argsort(col_comp, kind="stable")]
+    row_start = np.cumsum(row_sizes) - row_sizes
+    col_start = np.cumsum(col_sizes) - col_sizes
+    blocks = []
+    for p, q in sorted(set(zip(row_sizes.tolist(), col_sizes.tolist()))):
+        same = np.flatnonzero((row_sizes == p) & (col_sizes == q))
+        block_rows = row_order[row_start[same, None] + np.arange(p)]
+        block_cols = col_order[col_start[same, None] + np.arange(q)]
+        stack = a[block_rows[:, :, None], block_cols[:, None, :]]
+        # Byte-identical blocks have identical certificates: keep one of each.
+        blocks.extend({block.tobytes(): block for block in stack}.values())
+    return count, blocks
 
 
 def spectral_radius(a, rel_tol: float = 1e-10, max_squarings: int = 40) -> float:

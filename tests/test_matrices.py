@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from commkit.constructions import halmos_pair_scaled
+from commkit.constructions import halmos_nilpotent_majorant, halmos_pair_scaled
 from commkit.lazyops import compress
 from commkit.matrices import (
     UnconvergedError,
+    _component_blocks,
+    _dense_certificate,
     as_matrix,
     commutator,
     entrywise_leq,
@@ -248,6 +250,117 @@ class TestOperatorNormSvdOracle:
         m = signs * 10.0 ** rng.uniform(-6.0, 6.0, (40, 30))
         assert np.abs(m).min() < 1e-5 and np.abs(m).max() > 1e5
         self.assert_tight_bracket(m)
+
+    # LAPACK's SVD is backward stable, not exact: on the b section at eps
+    # 0.2, window 512, it lands 11 ulps above the section's exact norm, the
+    # 1x1 block fl(0.2**-3), and 3 ulps above the certified upper bound.
+    # The oracle is given 32 ulps either way, still far inside the 1e-10 gap.
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
+    @pytest.mark.parametrize("name, components", [("a", 192), ("b", 256), ("nilpotent", 128)])
+    def test_halmos_sections_window_512(self, name, components, eps):
+        section = compress(getattr(halmos_pair_scaled(), name), 512, eps)
+        cert = operator_norm(section)
+        truth = np.linalg.svd(section, compute_uv=False)[0]
+        slack = 32.0 * np.spacing(truth)
+        assert cert.lower <= truth + slack and truth - slack <= cert.upper
+        assert (cert.upper - cert.lower) / cert.upper <= 1e-10
+        assert cert.components == components
+
+    def test_b_section_window_2048_is_eps_cubed(self):
+        # |b| = eps**-3 on the section; SVD overshoots it by 2e-15 relative.
+        cert = operator_norm(compress(halmos_pair_scaled().b, 2048, 0.4))
+        exact = 0.4**-3
+        slack = 4.0 * np.spacing(exact)
+        assert cert.lower <= exact + slack and exact - slack <= cert.upper
+        assert (cert.upper - cert.lower) / cert.upper <= 1e-10
+        assert cert.components == 1024
+
+
+def _permuted_block_diagonal(blocks, zero_rows, zero_cols, rng):
+    """Direct sum of ``blocks`` plus zero rows and columns, rows and columns shuffled."""
+    m = sum(b.shape[0] for b in blocks) + zero_rows
+    n = sum(b.shape[1] for b in blocks) + zero_cols
+    out = np.zeros((m, n))
+    i = j = 0
+    for b in blocks:
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out[np.ix_(rng.permutation(m), rng.permutation(n))]
+
+
+class TestOperatorNormComponents:
+    """The block-by-block certificate against per-block SVD and the dense helper."""
+
+    def test_permuted_block_diagonal(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            blocks = []
+            for _ in range(int(rng.integers(2, 12))):
+                p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+                signs = rng.choice([-1.0, 1.0], (p, q))
+                block = signs * rng.uniform(0.1, 1.0, (p, q)) * 10.0 ** rng.uniform(-3.0, 3.0)
+                blocks.append(block)
+                if rng.random() < 0.3:  # an exact repeat, certified once
+                    blocks.append(block.copy())
+            zero_rows, zero_cols = (int(k) for k in rng.integers(0, 4, 2))
+            a = _permuted_block_diagonal(blocks, zero_rows, zero_cols, rng)
+            cert = operator_norm(a)
+            truth = max(np.linalg.svd(b, compute_uv=False)[0] for b in blocks)
+            assert cert.lower <= truth <= cert.upper
+            assert (cert.upper - cert.lower) / cert.upper <= 1e-10
+            assert cert.components == len(blocks)
+
+    @pytest.mark.parametrize(
+        "corner, methods",
+        [(9.0, ("column-norm", "norm-cap")), (2.0, ("eigenvector", "weyl-enclosure"))],
+    )
+    def test_tags_come_from_the_winning_block(self, corner, methods):
+        # |[[1, 2], [3, 4]]| = 5.46...: the 1x1 block wins at 9 and loses at 2.
+        blocks = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[corner]])]
+        cert = operator_norm(_permuted_block_diagonal(blocks, 1, 2, np.random.default_rng(2)))
+        assert (cert.lower_method, cert.upper_method) == methods
+        assert cert.lower <= max(corner, exact_spectral_norm(blocks[0])) <= cert.upper
+        assert cert.components == 2
+
+    @pytest.mark.parametrize("name", ["dense", "majorant", "zero-rows"])
+    def test_single_component_is_the_dense_certificate(self, name):
+        rng = np.random.default_rng(5)
+        if name == "dense":
+            m = rng.choice([-1.0, 1.0], (40, 30)) * rng.uniform(0.1, 10.0, (40, 30))
+        elif name == "majorant":
+            m = halmos_nilpotent_majorant(0.1)
+        else:
+            m = np.zeros((9, 7))
+            m[2:6, 1:4] = rng.uniform(0.5, 1.0, (4, 3))
+        cert = operator_norm(m)
+        assert cert == _dense_certificate(as_matrix(m))
+        assert cert.components == 1
+
+    def test_zero_matrix_has_one_component(self):
+        assert operator_norm(np.zeros((4, 2))).components == 1
+
+    def test_unconverged_bracket_is_the_combined_one(self):
+        a = _permuted_block_diagonal(
+            [np.random.default_rng(3).standard_normal((6, 6)), np.identity(2)], 0, 0,
+            np.random.default_rng(4),
+        )
+        with pytest.raises(UnconvergedError) as err:
+            operator_norm(a, rel_tol=1e-17)
+        assert 0.0 <= err.value.data["lower"] <= err.value.data["upper"]
+
+    def test_long_chain_is_one_component(self):
+        # A bidiagonal support is one path through all 8192 rows and columns.
+        chain = np.identity(4096) + np.diag(np.full(4095, 0.5), 1)
+        assert _component_blocks(chain, chain != 0.0) is None
+
+    def test_cut_chain_splits_in_two(self):
+        rng = np.random.default_rng(8)
+        chain = np.identity(512) + np.diag(np.full(511, 0.5), 1)
+        chain[200, 201] = 0.0
+        chain = chain[np.ix_(rng.permutation(512), rng.permutation(512))]
+        count, blocks = _component_blocks(chain, chain != 0.0)
+        assert count == 2
+        assert sorted(b.shape for b in blocks) == [(201, 201), (311, 311)]
 
 
 class TestSpectralRadius:

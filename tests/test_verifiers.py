@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commkit.constructions import halmos_pair_scaled
+from commkit.constructions import HalmosPair, halmos_pair_scaled
+from commkit.lazyops import identity_op, zero_op
 from commkit.matrices import commutator, identity
 from commkit.verifiers import (
     certified_halmos_popa_check,
     delta_threshold,
+    exact_commutator_identity_check,
     finite_dim_obstructions,
+    nil_index_three_check,
     popa_bound,
     power_inequality_report,
     wielandt_violation_witness,
@@ -270,3 +273,34 @@ class TestCertifiedCheck:
         vd = certified_halmos_popa_check(0.2, window=64, pair=pair)
         assert vd == certified_halmos_popa_check(0.2, window=64)
         assert 0.0 < vd.inputs["norm_n_lower"] <= vd.inputs["norm_n_upper"]
+
+
+class TestExactChecks:
+    def test_scaled_pair_passes_both(self):
+        pair = halmos_pair_scaled()
+        identity_vd = exact_commutator_identity_check(pair, 64)
+        assert identity_vd.passed and identity_vd.claim == "exact-commutator-identity"
+        assert identity_vd.inputs == {"columns_checked": 64}
+        nil_vd = nil_index_three_check(pair, 64)
+        assert nil_vd.passed and nil_vd.claim == "nil-index-three"
+        assert nil_vd.inputs["columns_checked"] == 64
+        assert 1 <= nil_vd.inputs["square_nonzero_column"] <= 64
+
+    def test_wrong_nilpotent_breaks_the_identity(self):
+        pair = halmos_pair_scaled()
+        broken = HalmosPair(pair.a, pair.b, zero_op(), pair.eps_symbolic)
+        vd = exact_commutator_identity_check(broken, 64)
+        assert not vd.passed
+        assert set(vd.witness) == {"column", "basis_index", "value"}
+
+    def test_identity_is_not_nilpotent(self):
+        pair = halmos_pair_scaled()
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op(), True), 8)
+        assert not vd.passed
+        assert vd.witness == {"cube_column": 1, "support": [1]}
+
+    def test_zero_square_is_an_inconsistency(self):
+        pair = halmos_pair_scaled()
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, zero_op(), True), 8)
+        assert not vd.passed
+        assert "inconsistency" in vd.witness
