@@ -3,7 +3,9 @@ finite-dimensional commutator factorizations of positive matrices."""
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .lazyops import (
 )
 from .matrices import (
     DynamicRangeError,
+    _require_square,
     as_matrix,
     matrix_to_json_dict,
     permutation_triangularization,
@@ -69,10 +72,18 @@ class FactorPair:
         return {"A": matrix_to_json_dict(self.a), "B": matrix_to_json_dict(self.b)}
 
 
-# Scalar coefficients of the nilpotent part's blocks, keyed by (row, col).
-# Every block is this coefficient times a composition of isometries and the
-# pair swap, so its operator norm is exactly |coefficient|.
-_NIL_BLOCK_COEFFS = {(1, 3): -2, (1, 4): -4, (2, 3): 2, (2, 4): 2, (3, 4): -4}
+# The nonzero blocks of the nilpotent part, (row, col) -> (coefficient, word).
+# A word composes the even isometry u, the odd isometry v and the pair swap
+# w, so it is itself an isometry and the block's operator norm is exactly
+# |coefficient|.  halmos_pair builds the operator and
+# halmos_nilpotent_majorant its norm bound from this one table.
+_NIL_BLOCKS = {
+    (1, 3): (-2, "w"),
+    (1, 4): (-4, "vw"),
+    (2, 3): (2, "u"),
+    (2, 4): (2, "v"),
+    (3, 4): (-4, "uw"),
+}
 
 
 def halmos_pair() -> HalmosPair:
@@ -97,12 +108,12 @@ def halmos_pair() -> HalmosPair:
         [z, one, 2 * u, 2 * v],
         [one, z, z, z],
     ])
-    nil = block4([
-        [z, z, -2 * w, -4 * (v @ w)],
-        [z, z, 2 * u, 2 * v],
-        [z, z, z, -4 * (u @ w)],
-        [z, z, z, z],
-    ])
+    letters = {"u": u, "v": v, "w": w}
+    nil_grid = [[z] * 4 for _ in range(4)]
+    for (i, j), (coeff, word) in _NIL_BLOCKS.items():
+        block = functools.reduce(operator.matmul, (letters[c] for c in word))
+        nil_grid[i - 1][j - 1] = coeff * block
+    nil = block4(nil_grid)
     return HalmosPair(a=a, b=b, nilpotent=nil, eps_symbolic=False)
 
 
@@ -134,7 +145,7 @@ def halmos_nilpotent_majorant(eps: float) -> np.ndarray:
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     out = np.zeros((4, 4))
-    for (i, j), coeff in _NIL_BLOCK_COEFFS.items():
+    for (i, j), (coeff, _) in _NIL_BLOCKS.items():
         out[i - 1, j - 1] = abs(coeff) * eps ** (j - i)
     return out
 
@@ -179,6 +190,15 @@ def _support_cycle(c: np.ndarray) -> list[int]:
     raise AssertionError("no cycle found in a non-triangularizable support")
 
 
+def _nonnegative_square(c) -> np.ndarray:
+    """The shared input check of the factorizations."""
+    c = as_matrix(c)
+    _require_square(c)
+    if float(c.min()) < 0.0:
+        raise ValueError("matrix must be entrywise nonnegative")
+    return c
+
+
 def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     """Factor a nonnegative nilpotent C as AB - BA with BA <= eps * C.
 
@@ -188,11 +208,7 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     strictly lower-triangular and the factors are conjugated back, so any
     nonnegative nilpotent matrix is accepted.
     """
-    c = as_matrix(c)
-    if c.shape[0] != c.shape[1]:
-        raise ValueError("matrix must be square")
-    if float(c.min()) < 0.0:
-        raise ValueError("matrix must be entrywise nonnegative")
+    c = _nonnegative_square(c)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     order = permutation_triangularization(c)
@@ -207,10 +223,15 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
             f"diagonal range ((1+eps)/eps)**{n - 1} overflows double precision "
             f"for eps={eps}, n={n}"
         )
+    diag = ratio ** np.arange(n, dtype=float)
+    if not (np.diff(diag) > 0.0).all():
+        raise ValueError(
+            f"eps={eps} is too large: the diagonal ((1+eps)/eps)**k is not strictly "
+            f"increasing in double precision"
+        )
     # Reverse the upper-triangular order: strictly lower support.
     perm = order[::-1]
     ct = c[np.ix_(perm, perm)]
-    diag = ratio ** np.arange(n, dtype=float)
     bt = np.zeros_like(ct)
     lower = np.tril_indices(n, k=-1)
     denom = diag[lower[0]] - diag[lower[1]]
@@ -230,14 +251,15 @@ def trace_zero_commutator_factors(c) -> FactorPair:
     zero diagonal and in general carries negative entries above the
     diagonal.
     """
-    c = as_matrix(c)
-    if c.shape[0] != c.shape[1]:
-        raise ValueError("matrix must be square")
-    if float(c.min()) < 0.0:
-        raise ValueError("matrix must be entrywise nonnegative")
+    c = _nonnegative_square(c)
     n = c.shape[0]
     if abs(float(np.trace(c))) > 1e-12:
         raise ValueError(f"trace must vanish (within 1e-12), got {float(np.trace(c))}")
+    # |b_ij| <= c_ij, so AB and BA have entries of at most n * max(c).
+    if n * float(c.max()) > np.finfo(float).max:
+        raise DynamicRangeError(
+            f"entries up to {float(c.max())} at n={n} overflow AB and BA in double precision"
+        )
     a = np.diag(np.arange(1, n + 1, dtype=float))
     idx = np.arange(n, dtype=float)
     offset = idx[:, None] - idx[None, :]

@@ -1,10 +1,12 @@
 """Exact lazy operators on the sequence space l2.
 
-Operators are immutable expression trees over six atoms: the positive
-isometry spreading the basis onto even indices (n -> 2n), the one onto odd
-indices (n -> 2n-1), their adjoints, the identity and zero.  Combinators:
-scaling by an integer or EpsScalar, sums, composition (@), adjoint, 4x4
-block assembly and conjugation by the block scaling diag(e^3, e^2, e^1, 1).
+Operators are immutable expression trees over four kinds of atom: the
+positive isometries n -> 2n - parity (parity 0 spreads the basis onto even
+indices, parity 1 onto odd ones), their adjoints, the identity and zero.
+Combinators: linear combinations (one node holding (scalar, operator) terms,
+built by +, -, negation and scaling by an integer or EpsScalar), composition
+(@), adjoint, 4x4 block assembly and conjugation by the block scaling
+diag(e^3, e^2, e^1, 1).
 
 Basis indices are 1-based throughout.  A column is a dict from basis index
 to EpsScalar; absent keys are zero.  apply() is exact integer/EpsScalar
@@ -80,25 +82,27 @@ class LazyOp:
         raise NotImplementedError
 
     # -- combinator sugar --------------------------------------------------
+    # Scalars are never multiplied here, so coefficient overflow surfaces in
+    # apply(), where the arithmetic happens.
 
     def __add__(self, other: "LazyOp") -> "LazyOp":
         if not isinstance(other, LazyOp):
             return NotImplemented
-        return _Sum((self, other))
+        return _Linear(((None, self), (None, other)))
 
     def __sub__(self, other: "LazyOp") -> "LazyOp":
         if not isinstance(other, LazyOp):
             return NotImplemented
-        return _Sum((self, _Scaled(EpsScalar.integer(-1), other)))
+        return _Linear(((None, self), (_MINUS_ONE, other)))
 
     def __neg__(self) -> "LazyOp":
-        return _Scaled(EpsScalar.integer(-1), self)
+        return _Linear(((_MINUS_ONE, self),))
 
     def __mul__(self, scalar) -> "LazyOp":
-        s = _as_scalar(scalar)
+        s = EpsScalar._coerce(scalar)
         if s is None:
             return NotImplemented
-        return _Scaled(s, self)
+        return _Linear(((s, self),))
 
     __rmul__ = __mul__
 
@@ -108,52 +112,38 @@ class LazyOp:
         return _Composition(self, other)
 
 
-def _as_scalar(value) -> EpsScalar | None:
-    if isinstance(value, EpsScalar):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return EpsScalar.integer(value)
-    return None
+class _Isometry(LazyOp):
+    """The positive isometry sending basis vector n to 2n - parity."""
 
+    __slots__ = ("parity", "_adjoint")
 
-class _EvenIsometry(LazyOp):
-    __slots__ = ()
-
-    def _column(self, n: int) -> Column:
-        return {2 * n: _ONE}
-
-    def adjoint(self) -> LazyOp:
-        return _EVEN_ADJ
-
-
-class _EvenAdjoint(LazyOp):
-    __slots__ = ()
+    def __init__(self, parity: int):
+        super().__init__()
+        self.parity = parity
+        self._adjoint = _IsometryAdjoint(self)
 
     def _column(self, n: int) -> Column:
-        return {n // 2: _ONE} if n % 2 == 0 else {}
+        return {2 * n - self.parity: _ONE}
 
     def adjoint(self) -> LazyOp:
-        return _EVEN
+        return self._adjoint
 
 
-class _OddIsometry(LazyOp):
-    __slots__ = ()
+class _IsometryAdjoint(LazyOp):
+    """Adjoint of an _Isometry: 2n - parity -> n, other indices -> 0."""
+
+    __slots__ = ("isometry",)
+
+    def __init__(self, isometry: _Isometry):
+        super().__init__()
+        self.isometry = isometry
 
     def _column(self, n: int) -> Column:
-        return {2 * n - 1: _ONE}
+        half, rest = divmod(n + self.isometry.parity, 2)
+        return {} if rest else {half: _ONE}
 
     def adjoint(self) -> LazyOp:
-        return _ODD_ADJ
-
-
-class _OddAdjoint(LazyOp):
-    __slots__ = ()
-
-    def _column(self, n: int) -> Column:
-        return {(n + 1) // 2: _ONE} if n % 2 == 1 else {}
-
-    def adjoint(self) -> LazyOp:
-        return _ODD
+        return self.isometry
 
 
 class _Identity(LazyOp):
@@ -176,38 +166,26 @@ class _Zero(LazyOp):
         return self
 
 
-class _Scaled(LazyOp):
-    __slots__ = ("scalar", "inner")
+class _Linear(LazyOp):
+    """The linear combination sum(scalar * op) over its (scalar, op) terms.
 
-    def __init__(self, scalar: EpsScalar, inner: LazyOp):
+    A None scalar stands for 1 and skips the multiplication.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[EpsScalar | None, LazyOp], ...]):
         super().__init__()
-        self.scalar = scalar
-        self.inner = inner
+        self.terms = terms
 
     def _column(self, n: int) -> Column:
         out: Column = {}
-        _merge_into(out, self.inner.apply(n), self.scalar)
+        for scalar, op in self.terms:
+            _merge_into(out, op.apply(n), scalar)
         return out
 
     def adjoint(self) -> LazyOp:
-        return _Scaled(self.scalar, self.inner.adjoint())
-
-
-class _Sum(LazyOp):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[LazyOp, ...]):
-        super().__init__()
-        self.parts = parts
-
-    def _column(self, n: int) -> Column:
-        out: Column = {}
-        for part in self.parts:
-            _merge_into(out, part.apply(n))
-        return out
-
-    def adjoint(self) -> LazyOp:
-        return _Sum(tuple(p.adjoint() for p in self.parts))
+        return _Linear(tuple((s, op.adjoint()) for s, op in self.terms))
 
 
 class _Composition(LazyOp):
@@ -252,10 +230,9 @@ class _Block4(LazyOp):
         return _Block4(transposed)
 
 
-_EVEN = _EvenIsometry()
-_EVEN_ADJ = _EvenAdjoint()
-_ODD = _OddIsometry()
-_ODD_ADJ = _OddAdjoint()
+_MINUS_ONE = EpsScalar.integer(-1)
+_EVEN = _Isometry(0)
+_ODD = _Isometry(1)
 _IDENTITY = _Identity()
 _ZERO = _Zero()
 
@@ -275,7 +252,7 @@ def pair_swap() -> LazyOp:
 
     Built as (even)(odd)* + (odd)(even)*, which evaluates to the swap.
     """
-    return _EVEN @ _ODD_ADJ + _ODD @ _EVEN_ADJ
+    return _EVEN @ _ODD.adjoint() + _ODD @ _EVEN.adjoint()
 
 
 def identity_op() -> LazyOp:
@@ -305,27 +282,19 @@ def block4(grid) -> LazyOp:
 def conjugate_by_block_scaling(op: LazyOp) -> LazyOp:
     """Conjugate a block-structured operator by diag(e^3 I, e^2 I, e I, I).
 
-    Block (i, j) gains the exact factor eps**(j - i).  The input must be
-    built from block4 assemblies (combined by scaling, sums and
+    Block (i, j) gains the exact factor eps**(j - i): the monomial joins the
+    scalars of the block's terms (a unit monomial cannot change any
+    coefficient's size), and zero blocks stay zero.  The input must be
+    built from block4 assemblies (combined by linear combinations and
     compositions); identity and zero commute with the scaling and pass
     through.  Raises ValueError for operators without slot structure.
     """
     if isinstance(op, _Block4):
-        scaled_rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                block = op.grid[i][j]
-                if i == j:
-                    row.append(block)
-                else:
-                    row.append(_Scaled(EpsScalar.monomial(1, j - i), block))
-            scaled_rows.append(tuple(row))
-        return _Block4(tuple(scaled_rows))
-    if isinstance(op, _Scaled):
-        return _Scaled(op.scalar, conjugate_by_block_scaling(op.inner))
-    if isinstance(op, _Sum):
-        return _Sum(tuple(conjugate_by_block_scaling(p) for p in op.parts))
+        return _Block4(tuple(
+            tuple(_times_monomial(op.grid[i][j], j - i) for j in range(4)) for i in range(4)
+        ))
+    if isinstance(op, _Linear):
+        return _Linear(tuple((s, conjugate_by_block_scaling(p)) for s, p in op.terms))
     if isinstance(op, _Composition):
         return _Composition(
             conjugate_by_block_scaling(op.outer), conjugate_by_block_scaling(op.inner)
@@ -333,6 +302,16 @@ def conjugate_by_block_scaling(op: LazyOp) -> LazyOp:
     if isinstance(op, (_Identity, _Zero)):
         return op
     raise ValueError("operator has no 4x4 slot structure to conjugate")
+
+
+def _times_monomial(op: LazyOp, power: int) -> LazyOp:
+    """eps**power * op, folding the monomial into the scalars of a _Linear."""
+    if power == 0 or op is _ZERO:
+        return op
+    mono = EpsScalar.monomial(1, power)
+    if isinstance(op, _Linear):
+        return _Linear(tuple((mono if s is None else s * mono, p) for s, p in op.terms))
+    return _Linear(((mono, op),))
 
 
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:

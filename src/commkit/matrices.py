@@ -473,15 +473,19 @@ def matrix_to_json_dict(a) -> dict:
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
+    """Read the dense form {"rows", "cols", "data"}, data a flat row-major list."""
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        data = np.array(obj["data"], dtype=float) if isinstance(obj["data"], list) else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON must have rows/cols/data: {exc}") from None
+    if data is None or data.ndim != 1:
+        raise ValueError("matrix JSON data must be a flat list of numbers")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
-    return as_matrix(np.array(data, dtype=float).reshape(rows, cols))
+    return as_matrix(data.reshape(rows, cols))
 
 
 def _parse_csv(text: str) -> np.ndarray:

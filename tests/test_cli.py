@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from commkit.cli import main
 from commkit.matrices import matrix_from_json_dict, read_matrix, write_matrix
@@ -237,3 +239,61 @@ class TestReportContract:
         with pytest.raises(SystemExit) as err:
             run("verify", "unknown-suite")
         assert err.value.code == 2
+
+
+def test_huge_eps_is_input_error_naming_eps(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    write_matrix(c, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    code = run("factor", "nilpotent", "--input", c, "--eps", 1e17, "--out", tmp_path / "o.json")
+    assert code == 2
+    assert "error: eps=1e+17 is too large" in capsys.readouterr().err
+
+
+finite_numbers = st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | finite_numbers | st.text(max_size=3),
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=3)
+    ),
+    max_leaves=8,
+)
+dims = st.integers(-1, 4) | json_values
+# Arbitrary rows/cols/data, and square matrices up to 4x4 whose data fits.
+square_fields = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.just(n), st.lists(finite_numbers, min_size=n * n, max_size=n * n)
+    )
+)
+matrix_fields = (
+    st.tuples(dims, dims, st.lists(finite_numbers, max_size=16) | json_values) | square_fields
+)
+
+
+class TestMalformedMatrixInput:
+    @pytest.mark.parametrize("data", [5, None, {"a": 1}, [{"a": 1}], "12", [[1.0], [2.0]]])
+    def test_non_flat_data_is_input_error(self, tmp_path, capsys, data):
+        c = tmp_path / "m.json"
+        cols = 2 if isinstance(data, list) else 1
+        c.write_text(json.dumps({"rows": 1, "cols": cols, "data": data}), encoding="utf-8")
+        code = run("factor", "tracezero", "--input", c, "--out", tmp_path / "o.json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: matrix JSON")
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(fields=matrix_fields)
+    @example(fields=(1, 1, None))
+    @example(fields=(1, 1, 5))
+    @example(fields=(1, 1, {"a": 1}))
+    @example(fields=(1, 1, [{"a": 1}]))
+    @example(fields=(1, 2, [[0.0], [0.0]]))
+    @example(fields=(2, 2, [0.0, 1e308, 1e308, 0.0]))
+    def test_arbitrary_matrix_json_never_raises(self, tmp_path, fields):
+        rows, cols, data = fields
+        c = tmp_path / "m.json"
+        c.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}), encoding="utf-8")
+        code = main(["factor", "tracezero", "--input", str(c), "--out", str(tmp_path / "o.json")])
+        assert code in (0, 1, 2)

@@ -246,3 +246,16 @@ def test_factor_pair_serializes_with_uppercase_keys():
     payload = pair.to_json_dict()
     assert set(payload) == {"A", "B"}
     assert payload["A"]["rows"] == 2
+
+
+def test_nilpotent_rejects_eps_whose_diagonal_collapses():
+    # (1 + 1e17) / 1e17 rounds to 1, so every diagonal entry of A would be 1
+    # and every divisor a_ii - a_jj zero.
+    with pytest.raises(ValueError, match=r"eps=1e\+17 is too large"):
+        nilpotent_commutator_factors([[0.0, 0.0], [1.0, 0.0]], 1e17)
+
+
+def test_trace_zero_rejects_entries_that_overflow_the_products():
+    c = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(DynamicRangeError, match="overflow"):
+        trace_zero_commutator_factors(c)
