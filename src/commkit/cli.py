@@ -161,9 +161,10 @@ def _cmd_factor(args) -> RunReport:
         if args.eps is None:
             raise ValueError("--eps is required for kind=nilpotent")
         pair = nilpotent_commutator_factors(c, args.eps)
-        n = c.shape[0]
-        ratio = (1.0 + args.eps) / args.eps
-        residual_tol = tol * (1.0 + max_abs(c)) * ratio ** (n - 1)
+        # Each entry of AB - BA is d_i b_ij - b_ij d_j, with no sums, so it is off by a few
+        # ulps of c_ij (d_i + d_j) / |d_i - d_j|, and different ranks of the diagonal ratio
+        # r = (1 + eps) / eps give (d_i + d_j) / |d_i - d_j| <= (r + 1) / (r - 1) = 1 + 2 eps.
+        residual_tol = tol * (1.0 + max_abs(c)) * (1.0 + 2.0 * args.eps)
     else:
         pair = trace_zero_commutator_factors(c)
         residual_tol = tol * c.shape[0] * max(max_abs(c), 1.0)

@@ -23,6 +23,7 @@ from .lazyops import (
 from .matrices import (
     DynamicRangeError,
     _require_square,
+    _topological_order,
     as_matrix,
     matrix_to_json_dict,
     permutation_triangularization,
@@ -164,30 +165,20 @@ def self_commutator_isometry() -> tuple[LazyOp, LazyOp]:
 def _support_cycle(c: np.ndarray) -> list[int]:
     """One directed cycle of the support digraph, as 1-based indices.
 
-    Depth-first search with an explicit stack, so supports with cycles of
-    any length are handled without recursion.
+    Every index the topological sort leaves unplaced has an unplaced
+    predecessor, so walking back along the lowest such predecessor from the
+    lowest unplaced index must revisit an index; the walk reversed from the
+    first visit of that index is a cycle.
     """
-    n = c.shape[0]
     support = c > 0.0
-    color = [0] * n  # 0 unvisited, 1 on path, 2 done
-    for start in range(n):
-        if color[start] != 0:
-            continue
-        color[start] = 1
-        path = [start]
-        successors = [iter(np.nonzero(support[start])[0].tolist())]
-        while path:
-            j = next(successors[-1], None)
-            if j is None:
-                color[path.pop()] = 2
-                successors.pop()
-            elif color[j] == 1:
-                return [k + 1 for k in path[path.index(j):] + [j]]
-            elif color[j] == 0:
-                color[j] = 1
-                path.append(j)
-                successors.append(iter(np.nonzero(support[j])[0].tolist()))
-    raise AssertionError("no cycle found in a non-triangularizable support")
+    unplaced = np.ones(c.shape[0], dtype=bool)
+    unplaced[_topological_order(support)] = False
+    walk: dict[int, int] = {}  # index -> step at which the walk reached it
+    j = int(np.argmax(unplaced))
+    while j not in walk:
+        walk[j] = len(walk)
+        j = int(np.argmax(support[:, j] & unplaced))
+    return [k + 1 for k in [j, *reversed(list(walk)[walk[j]:])]]
 
 
 def _nonnegative_square(c) -> np.ndarray:
@@ -199,22 +190,43 @@ def _nonnegative_square(c) -> np.ndarray:
     return c
 
 
+def _diagonal_factors(c: np.ndarray, d: np.ndarray) -> FactorPair:
+    """A = diag(d) and B with AB - BA = C off the diagonal; d has distinct entries.
+
+    (AB - BA)_ij = (d_i - d_j) b_ij, so b_ij = c_ij / (d_i - d_j) wherever
+    c_ij != 0 off the diagonal, and b_ij = +0.0 elsewhere.  With A diagonal
+    the entries of AB and BA are d_i b_ij and b_ij d_j, with no sums, so
+    B, AB and BA are finite exactly when every max(|d_i|, |d_j|) |b_ij| is:
+    when |d_i| max_j |b_ij| and |d_j| max_i |b_ij| are, rounding being monotone.
+    """
+    gap = d[:, None] - d[None, :]
+    with np.errstate(over="ignore"):
+        b = np.divide(c, gap, out=np.zeros_like(c), where=(c != 0.0) & (gap != 0.0))
+        mag, scale = np.abs(b), np.abs(d)
+        largest = np.concatenate([scale * mag.max(axis=1), mag.max(axis=0) * scale])
+    if not np.isfinite(largest).all():
+        raise DynamicRangeError(
+            f"entries up to {float(c.max())} with diagonal up to {float(np.abs(d).max())} "
+            f"at n={c.shape[0]} overflow B, AB or BA in double precision"
+        )
+    return FactorPair(a=np.diag(d), b=b)
+
+
 def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     """Factor a nonnegative nilpotent C as AB - BA with BA <= eps * C.
 
-    A is diagonal with entries ((1+eps)/eps)**(k-1) along the
-    triangularized order; B carries c_ij / (a_ii - a_jj) below the
-    triangularized diagonal.  The input is first permuted so its support is
-    strictly lower-triangular and the factors are conjugated back, so any
-    nonnegative nilpotent matrix is accepted.
+    A is diagonal: a topological order of the support of C (an arc i -> j
+    for c_ij > 0) is reversed, and the index of rank k in it gets
+    ((1+eps)/eps)**k.  Every arc then runs from a larger diagonal entry to
+    a smaller one, and B carries c_ij / (a_ii - a_jj) on the support of C,
+    so any nonnegative nilpotent matrix is accepted without permuting it.
     """
     c = _nonnegative_square(c)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     order = permutation_triangularization(c)
     if order is None:
-        cycle = _support_cycle(c)
-        path = "->".join(str(k) for k in cycle)
+        path = "->".join(map(str, _support_cycle(c)))
         raise ValueError(f"matrix is not nilpotent: support cycle {path}")
     n = c.shape[0]
     ratio = (1.0 + eps) / eps
@@ -223,47 +235,32 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
             f"diagonal range ((1+eps)/eps)**{n - 1} overflows double precision "
             f"for eps={eps}, n={n}"
         )
-    diag = ratio ** np.arange(n, dtype=float)
-    if not (np.diff(diag) > 0.0).all():
+    powers = ratio ** np.arange(n, dtype=float)
+    if not (np.diff(powers) > 0.0).all():
         raise ValueError(
             f"eps={eps} is too large: the diagonal ((1+eps)/eps)**k is not strictly "
             f"increasing in double precision"
         )
-    # Reverse the upper-triangular order: strictly lower support.
-    perm = order[::-1]
-    ct = c[np.ix_(perm, perm)]
-    bt = np.zeros_like(ct)
-    lower = np.tril_indices(n, k=-1)
-    denom = diag[lower[0]] - diag[lower[1]]
-    bt[lower] = ct[lower] / denom
-    a = np.zeros((n, n))
-    a[perm, perm] = diag
-    b = np.zeros((n, n))
-    b[np.ix_(perm, perm)] = bt
-    return FactorPair(a=a, b=b)
+    d = np.empty(n)
+    d[order[::-1]] = powers
+    pair = _diagonal_factors(c, d)
+    # The bound BA <= eps * C needs eps * C in range as well: with a large eps,
+    # eps * c_ij can exceed the entries of AB by a factor of up to n - 1.
+    if math.isinf(eps * float(c.max())):
+        raise DynamicRangeError(f"eps * C overflows double precision for eps={eps}")
+    return pair
 
 
 def trace_zero_commutator_factors(c) -> FactorPair:
     """Factor a nonnegative trace-zero C as AB - BA with A = diag(1..n).
 
-    A nonnegative matrix with zero trace has zero diagonal, so the divisor
-    i - j in b_ij = c_ij / (i - j) is never zero where c_ij > 0.  B has a
-    zero diagonal and in general carries negative entries above the
-    diagonal.
+    A nonnegative matrix with zero trace has zero diagonal, so the diagonal
+    solve b_ij = c_ij / (i - j) reproduces all of C.  B is +0.0 wherever C
+    is zero and in general carries negative entries above the diagonal.
     """
     c = _nonnegative_square(c)
-    n = c.shape[0]
-    if abs(float(np.trace(c))) > 1e-12:
-        raise ValueError(f"trace must vanish (within 1e-12), got {float(np.trace(c))}")
-    # |b_ij| <= c_ij, so AB and BA have entries of at most n * max(c).
-    if n * float(c.max()) > np.finfo(float).max:
-        raise DynamicRangeError(
-            f"entries up to {float(c.max())} at n={n} overflow AB and BA in double precision"
-        )
-    a = np.diag(np.arange(1, n + 1, dtype=float))
-    idx = np.arange(n, dtype=float)
-    offset = idx[:, None] - idx[None, :]
-    np.fill_diagonal(offset, 1.0)
-    b = c / offset
-    np.fill_diagonal(b, 0.0)
-    return FactorPair(a=a, b=b)
+    with np.errstate(over="ignore"):  # a diagonal that sums past the float range gives inf
+        trace = float(np.trace(c))
+    if abs(trace) > 1e-12:
+        raise ValueError(f"trace must vanish (within 1e-12), got {trace}")
+    return _diagonal_factors(c, np.arange(1, c.shape[0] + 1, dtype=float))

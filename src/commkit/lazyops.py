@@ -46,7 +46,11 @@ _ONE = EpsScalar.one()
 
 def _merge_into(acc: Column, col: Column, factor: EpsScalar | None = None) -> None:
     for idx, value in col.items():
-        term = value if factor is None else factor * value
+        # Every isometry column carries the unit singleton; multiplying by it only copies.
+        if factor is None or factor is _ONE:
+            term = value
+        else:
+            term = factor if value is _ONE else factor * value
         if term.is_zero:
             continue
         current = acc.get(idx)

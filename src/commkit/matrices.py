@@ -429,6 +429,23 @@ def nilpotency_index(a, tol: float | None = None) -> int | None:
     return None
 
 
+def _topological_order(support: np.ndarray) -> list[int]:
+    """Kahn's topological sort of the digraph with an arc i -> j wherever
+    support[i, j], ties broken on the lowest index.  Indices on a cycle, or
+    reachable from one, are left out."""
+    indegree = support.sum(axis=0).astype(int)
+    ready = np.flatnonzero(indegree == 0).tolist()
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in np.nonzero(support[i])[0]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, int(j))
+    return order
+
+
 def permutation_triangularization(c) -> np.ndarray | None:
     """Order the indices of a nonnegative matrix so it becomes strictly upper.
 
@@ -442,22 +459,8 @@ def permutation_triangularization(c) -> np.ndarray | None:
     _require_square(c)
     if float(c.min()) < 0.0:
         raise ValueError("entries must be nonnegative")
-    n = c.shape[0]
-    support = c > 0.0
-    indegree = support.sum(axis=0).astype(int)
-    ready = [j for j in range(n) if indegree[j] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in np.nonzero(support[i])[0]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, int(j))
-    if len(order) < n:
-        return None
-    return np.array(order)
+    order = _topological_order(c > 0.0)
+    return np.array(order) if len(order) == c.shape[0] else None
 
 
 # -- file formats -----------------------------------------------------------
@@ -469,7 +472,7 @@ def permutation_triangularization(c) -> np.ndarray | None:
 
 def matrix_to_json_dict(a) -> dict:
     a = as_matrix(a)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": [float(x) for x in a.ravel()]}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:

@@ -115,6 +115,18 @@ class TestFactor:
         code = run("factor", "tracezero", "--input", bad, "--out", tmp_path / "o.json")
         assert code == 2
 
+    def test_nilpotent_tolerance_does_not_grow_with_the_diagonal(self, tmp_path, capsys):
+        # A 60-chain puts 2**59 on the diagonal at eps = 1; the residual of
+        # AB - BA stays at rounding level, so its tolerance must too.
+        c = tmp_path / "chain.json"
+        write_matrix(c, np.diag(np.ones(59), -1))
+        code = run("--json", "factor", "nilpotent", "--input", c, "--eps", 1,
+                   "--out", tmp_path / "o.json")
+        assert code == 0
+        (residual,) = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
+                       if v["claim"] == "reconstruction-residual"]
+        assert residual["inputs"]["tolerance"] < 1e-6
+
     def test_written_matrices_round_trip(self, tmp_path):
         c_path = tmp_path / "c.json"
         rng = np.random.default_rng(3)
@@ -267,6 +279,10 @@ square_fields = st.integers(1, 4).flatmap(
 matrix_fields = (
     st.tuples(dims, dims, st.lists(finite_numbers, max_size=16) | json_values) | square_fields
 )
+# Nonnegative n x n data, n up to 4, as (n, flat row-major list).
+nonnegative_square = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.floats(0.0, 1e308), min_size=n * n, max_size=n * n))
+)
 
 
 class TestMalformedMatrixInput:
@@ -297,3 +313,19 @@ class TestMalformedMatrixInput:
         c.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}), encoding="utf-8")
         code = main(["factor", "tracezero", "--input", str(c), "--out", str(tmp_path / "o.json")])
         assert code in (0, 1, 2)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(square=nonnegative_square, eps=st.floats(1e-300, 1e300))
+    @example(square=(2, [0.0, 0.0, 1e300, 0.0]), eps=1e10)
+    @example(square=(4, [0, 1, 0, 5e298, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0]), eps=1e10)
+    def test_factor_nilpotent_eps_never_raises(self, tmp_path, square, eps):
+        n, data = square
+        c = tmp_path / "m.json"
+        c.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
+        argv = ["factor", "nilpotent", "--input", str(c), "--eps", repr(eps),
+                "--out", str(tmp_path / "o.json")]
+        assert main(argv) in (0, 1, 2)

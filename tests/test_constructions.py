@@ -188,6 +188,18 @@ class TestNilpotentFactorization:
         with pytest.raises(DynamicRangeError):
             nilpotent_commutator_factors(c, 1e-10)
 
+    def test_rejects_entries_that_overflow_the_products(self):
+        # A = diag(1, 2) and b_21 = 1e308, so (AB)_21 = 2e308.
+        with pytest.raises(DynamicRangeError, match="overflow B, AB or BA"):
+            nilpotent_commutator_factors([[0.0, 0.0], [1e308, 0.0]], 1.0)
+
+    def test_rejects_eps_times_c_out_of_range(self):
+        # The products stay below 1.7e308, but eps * c_14 = 5e308.
+        c = np.diag([1.0, 1.0, 1.0], 1)
+        c[0, 3] = 5e298
+        with pytest.raises(DynamicRangeError, match="eps \\* C overflows"):
+            nilpotent_commutator_factors(c, 1e10)
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             nilpotent_commutator_factors(np.zeros((2, 2)), 0.0)
@@ -253,6 +265,12 @@ def test_nilpotent_rejects_eps_whose_diagonal_collapses():
     # and every divisor a_ii - a_jj zero.
     with pytest.raises(ValueError, match=r"eps=1e\+17 is too large"):
         nilpotent_commutator_factors([[0.0, 0.0], [1.0, 0.0]], 1e17)
+
+
+def test_trace_zero_rejects_a_diagonal_whose_sum_overflows():
+    c = np.diag([8.98846567431158e307, 8.988465674311579e307])
+    with pytest.raises(ValueError, match="trace must vanish"):
+        trace_zero_commutator_factors(c)
 
 
 def test_trace_zero_rejects_entries_that_overflow_the_products():
