@@ -28,6 +28,7 @@ from .constructions import (
 from .lazyops import compress
 from .matrices import (
     UnconvergedError,
+    _gamma,
     entrywise_leq,
     matrix_to_json_dict,
     max_abs,
@@ -154,6 +155,18 @@ def _cmd_construct_halmos(args) -> RunReport:
     return report
 
 
+def _scaled_tol(tol: float, *factors: float) -> float:
+    """tol times the factors, each at least 1, capped at the largest double.
+
+    A tolerance at the cap passes every finite margin, as the uncapped
+    product would, and keeps the report finite.  Capping each factor first
+    keeps 0 * inf out.
+    """
+    for factor in factors:
+        tol = min(tol * min(factor, sys.float_info.max), sys.float_info.max)
+    return tol
+
+
 def _cmd_factor(args) -> RunReport:
     c = read_matrix(args.input)
     tol = args.tol
@@ -164,10 +177,10 @@ def _cmd_factor(args) -> RunReport:
         # Each entry of AB - BA is d_i b_ij - b_ij d_j, with no sums, so it is off by a few
         # ulps of c_ij (d_i + d_j) / |d_i - d_j|, and different ranks of the diagonal ratio
         # r = (1 + eps) / eps give (d_i + d_j) / |d_i - d_j| <= (r + 1) / (r - 1) = 1 + 2 eps.
-        residual_tol = tol * (1.0 + max_abs(c)) * (1.0 + 2.0 * args.eps)
+        residual_tol = _scaled_tol(tol, 1.0 + max_abs(c), 1.0 + 2.0 * args.eps)
     else:
         pair = trace_zero_commutator_factors(c)
-        residual_tol = tol * c.shape[0] * max(max_abs(c), 1.0)
+        residual_tol = _scaled_tol(tol, c.shape[0], max(max_abs(c), 1.0))
     recon = pair.a @ pair.b - pair.b @ pair.a
     residual = max_abs(recon - c)
     verdicts = [
@@ -180,7 +193,14 @@ def _cmd_factor(args) -> RunReport:
         )
     ]
     if args.kind == "nilpotent":
-        vd = entrywise_leq(pair.b @ pair.a, args.eps * c, tol)
+        # On an arc i -> j, BA_ij = c_ij / (rho - 1) for the float ratio rho = d_i / d_j. At
+        # adjacent ranks rho is r = (1 + eps) / eps up to a few ulps, and BA_ij = eps c_ij at
+        # rho = r.  A relative error delta in rho moves 1 / (rho - 1) by (1 + eps) delta, and
+        # forming BA_ij and eps c_ij adds four roundings, so BA_ij can exceed eps c_ij by about
+        # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
+        rounding = tol + _gamma(8) * (1.0 + 2.0 * args.eps)
+        ba_tol = _scaled_tol(rounding, 1.0 + args.eps * max_abs(c))
+        vd = entrywise_leq(pair.b @ pair.a, args.eps * c, ba_tol)
         verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
     Path(args.out).write_text(json.dumps(pair.to_json_dict()), encoding="utf-8")
     return RunReport(

@@ -32,7 +32,6 @@ __all__ = [
     "operator_norm",
     "permutation_triangularization",
     "read_matrix",
-    "spectral_radius",
     "trace",
     "write_matrix",
 ]
@@ -364,48 +363,6 @@ def _component_blocks(
         # Byte-identical blocks have identical certificates: keep one of each.
         blocks.extend({block.tobytes(): block for block in stack}.values())
     return count, blocks
-
-
-def spectral_radius(a, rel_tol: float = 1e-10, max_squarings: int = 40) -> float:
-    """Largest eigenvalue modulus via norm iteration with repeated squaring.
-
-    Tracks |A^(2^k)|_F^(1/2^k) with log-scale normalization so no overflow
-    occurs, and caps the result with the Gershgorin row/column bound.  The
-    returned value never underestimates the radius by more than rounding in
-    the squaring chain.  Raises UnconvergedError (carrying the last two
-    iterates) if 40 squarings do not stabilize to rel_tol.
-    """
-    a = as_matrix(a)
-    _require_square(a)
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    abs_a = np.abs(a)
-    gersh = float(min(abs_a.sum(axis=1).max(), abs_a.sum(axis=0).max()))
-    if gersh == 0.0:
-        return 0.0
-    fro = float(np.sqrt((a * a).sum()))
-    log_norm = math.log(fro)
-    m = a / fro
-    # Convergence is judged on the raw (uncapped) iterates, which decrease
-    # monotonically to the radius; the Gershgorin cap only clips the result.
-    prev = fro
-    est = prev
-    for k in range(1, max_squarings + 1):
-        m = m @ m
-        nm = float(np.sqrt((m * m).sum()))
-        if nm == 0.0:
-            return 0.0
-        log_norm = 2.0 * log_norm + math.log(nm)
-        m = m / nm
-        est = math.exp(log_norm / (1 << k))
-        if abs(est - prev) <= rel_tol * max(est, prev):
-            return min(est, gersh)
-        prev = est
-    raise UnconvergedError(
-        f"spectral radius iteration did not stabilize to rel_tol={rel_tol} "
-        f"after {max_squarings} squarings; last iterates {prev}, {est}",
-        last_two=(prev, est),
-    )
 
 
 def nilpotency_index(a, tol: float | None = None) -> int | None:

@@ -15,13 +15,18 @@ import numpy as np
 from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
 from .lazyops import compress
 from .matrices import (
+    DynamicRangeError,
+    _down,
+    _gamma,
+    _require_same_shape,
+    _require_square,
+    _up,
     as_matrix,
     commutator,
     entrywise_leq,
     identity,
     max_abs,
     operator_norm,
-    spectral_radius,
 )
 from .verdict import Verdict
 
@@ -112,10 +117,9 @@ def power_inequality_report(
     a = as_matrix(a)
     b = as_matrix(b)
     x = as_matrix(x)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrices must be square")
-    if a.shape != b.shape or a.shape != x.shape:
-        raise ValueError("matrices must share one shape")
+    _require_square(a)
+    _require_same_shape(a, b)
+    _require_same_shape(a, x)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if interior is not None and not (1 <= interior <= a.shape[0]):
@@ -161,8 +165,8 @@ def wielandt_violation_witness(a, b) -> Verdict:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError("matrices must be square and of equal size")
+    _require_square(a)
+    _require_same_shape(a, b)
 
     def signed(m: np.ndarray) -> bool:
         return float(m.min()) >= 0.0 or float(m.max()) <= 0.0
@@ -186,40 +190,56 @@ def wielandt_violation_witness(a, b) -> Verdict:
     )
 
 
-def finite_dim_obstructions(
-    a,
-    b,
-    x,
-    tol: float = 1e-9,
-    spectral_tol: float = 1e-6,
-) -> list[Verdict]:
+def _in_range(value, what: str):
+    """``value`` if every entry is finite: for results computed with overflow ignored."""
+    if not np.isfinite(value).all():
+        raise DynamicRangeError(f"{what} overflows double precision")
+    return value
+
+
+def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     """Trace, spectral-radius and idempotent obstructions for [A,B] >= I - X.
 
     Returns four verdicts: the re-verified hypothesis, then (i)
     trace(X) >= n, (ii) r(X) >= 1 together with |X| >= 1, and (iii) if X is
-    idempotent then X = I.  Entrywise and trace checks use ``tol``;
-    spectral quantities use ``spectral_tol``.  When the hypothesis fails
-    the obstruction verdicts are vacuous and marked as such (their values
-    are still reported).
+    idempotent then X = I.  All use ``tol``.  When the hypothesis fails the
+    obstruction verdicts are vacuous and marked as such (their values are
+    still reported).
+
+    (i) and (ii) are decided by one certified lower side of the trace.  Any
+    order of summing the n diagonal entries errs by at most
+    gamma_(n-1) sum|x_ii|, so T = fl(tr X) - slack with slack =
+    gamma_n sum|x_ii|, widened outward, satisfies T <= tr X.  The eigenvalues of X sum to tr X, so
+    |X| >= r(X) >= |tr X| / n >= r_lower = max(|fl(tr X)| - slack, 0) / n,
+    rounded down, and one lower side certifies both halves of (ii).
+    DynamicRangeError is raised when the commutator, its difference from
+    I - X, the trace sums or X X - X overflow.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     x = as_matrix(x)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrices must be square")
-    if a.shape != b.shape or a.shape != x.shape:
-        raise ValueError("matrices must share one shape")
+    _require_square(a)
+    _require_same_shape(a, b)
+    _require_same_shape(a, x)
     n = a.shape[0]
     eye = identity(n)
 
-    hyp = entrywise_leq(eye - x, commutator(a, b), tol)
+    diag = np.diagonal(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = _in_range(commutator(a, b), "the commutator AB - BA")
+        hyp = entrywise_leq(eye - x, comm, tol)
+        _in_range(hyp.margin, "[A,B] - (I - X)")
+        trace_x = float(diag.sum())
+        slack = _up(_gamma(n) * _up(float(np.abs(diag).sum()), n), 1)
+        _in_range([trace_x, slack], "the trace of X or its rounding bound")
+        square_defect = _in_range(x @ x - x, "X X - X")
     hyp = dataclasses.replace(hyp, claim="obstruction-hypothesis")
     vacuous = not hyp.passed
 
-    trace_x = float(np.trace(x))
-    trace_margin = trace_x - n
+    trace_lower = math.nextafter(trace_x - slack, -math.inf)
+    trace_margin = trace_lower - n
     trace_ok = vacuous or trace_margin >= -tol
-    trace_witness = {"trace": trace_x, "size": n}
+    trace_witness = {"trace": trace_x, "trace_lower": trace_lower, "size": n}
     if vacuous:
         trace_witness["vacuous"] = True
     trace_vd = Verdict(
@@ -230,22 +250,20 @@ def finite_dim_obstructions(
         inputs={"size": n, "tol": tol},
     )
 
-    radius = spectral_radius(x, rel_tol=spectral_tol)
-    norm_upper = operator_norm(x, rel_tol=spectral_tol).upper
-    spec_margin = min(radius - 1.0, norm_upper - 1.0)
-    spec_ok = vacuous or (radius >= 1.0 - spectral_tol and norm_upper >= 1.0 - spectral_tol)
-    spec_witness = {"spectral_radius": radius, "norm_upper": norm_upper}
+    radius_lower = _down(max(abs(trace_x) - slack, 0.0) / n, 2)
+    spec_ok = vacuous or radius_lower >= 1.0 - tol
+    spec_witness = {"spectral_radius_lower": radius_lower}
     if vacuous:
         spec_witness["vacuous"] = True
     spec_vd = Verdict(
         passed=spec_ok,
         claim="obstruction-spectral-radius",
         witness=spec_witness,
-        margin=spec_margin,
-        inputs={"size": n, "spectral_tol": spectral_tol},
+        margin=radius_lower - 1.0,
+        inputs={"size": n, "tol": tol},
     )
 
-    idem_defect = max_abs(x @ x - x)
+    idem_defect = max_abs(square_defect)
     ident_defect = max_abs(x - eye)
     is_idempotent = idem_defect <= tol
     idem_ok = vacuous or (not is_idempotent) or ident_defect <= tol

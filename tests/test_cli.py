@@ -1,13 +1,16 @@
 """CLI behavior: commands, exit codes, report schema, file round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from commkit import cli
 from commkit.cli import main
+from commkit.constructions import FactorPair, nilpotent_commutator_factors
 from commkit.matrices import matrix_from_json_dict, read_matrix, write_matrix
 
 
@@ -126,6 +129,42 @@ class TestFactor:
         (residual,) = [v for v in json.loads(capsys.readouterr().out)["verdicts"]
                        if v["claim"] == "reconstruction-residual"]
         assert residual["inputs"]["tolerance"] < 1e-6
+
+    def _factor_verdicts(self, tmp_path, capsys, data, eps, *extra):
+        n = math.isqrt(len(data))
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
+        code = run("--json", "factor", "nilpotent", "--input", c, "--eps", eps,
+                   "--out", tmp_path / "o.json", *extra)
+        verdicts = {v["claim"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        return code, verdicts
+
+    def test_ba_tolerance_scales_with_eps_c(self, tmp_path, capsys):
+        # BA_12 = c_12 / (d_1/d_2 - 1) misses eps c_12 = 1e8 by a few ulps of
+        # (1 + eps) eps c_12, far above an absolute tolerance of 1e-9.
+        code, verdicts = self._factor_verdicts(tmp_path, capsys, [0, 1e5, 0, 0], 1000)
+        assert code == 0
+        assert verdicts["ba-below-eps-c"]["passed"]
+
+    @pytest.mark.parametrize("data, eps, extra", [
+        ([0, 1e298, 0, 0], 1e10, ()),
+        ([0], 1e308, ("--tol", 0)),  # 1 + 2 eps overflows, and 0 * inf is nan
+    ])
+    def test_tolerances_stay_finite(self, tmp_path, capsys, data, eps, extra):
+        code, verdicts = self._factor_verdicts(tmp_path, capsys, data, eps, *extra)
+        assert code == 0
+        assert math.isfinite(verdicts["reconstruction-residual"]["inputs"]["tolerance"])
+        assert math.isfinite(verdicts["ba-below-eps-c"]["inputs"]["tol"])
+
+    def test_ba_tolerance_still_catches_a_perturbed_b(self, tmp_path, capsys, monkeypatch):
+        def perturbed(c, eps):
+            pair = nilpotent_commutator_factors(c, eps)
+            return FactorPair(a=pair.a, b=pair.b * (1.0 + 1e-6))
+
+        monkeypatch.setattr(cli, "nilpotent_commutator_factors", perturbed)
+        code, verdicts = self._factor_verdicts(tmp_path, capsys, [0, 1e5, 0, 0], 1000)
+        assert code == 1
+        assert not verdicts["ba-below-eps-c"]["passed"]
 
     def test_written_matrices_round_trip(self, tmp_path):
         c_path = tmp_path / "c.json"
@@ -284,6 +323,14 @@ nonnegative_square = st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.floats(0.0, 1e308), min_size=n * n, max_size=n * n))
 )
 
+# Three n x n matrices A, B, X, n up to 3, as (n, [flat A, flat B, flat X]).
+obstruction_triples = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.floats(-1e308, 1e308), min_size=n * n, max_size=n * n),
+        min_size=3, max_size=3,
+    ))
+)
+
 
 class TestMalformedMatrixInput:
     @pytest.mark.parametrize("data", [5, None, {"a": 1}, [{"a": 1}], "12", [[1.0], [2.0]]])
@@ -328,4 +375,22 @@ class TestMalformedMatrixInput:
         c.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
         argv = ["factor", "nilpotent", "--input", str(c), "--eps", repr(eps),
                 "--out", str(tmp_path / "o.json")]
+        assert main(argv) in (0, 1, 2)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(triple=obstruction_triples)
+    @example(triple=(2, [[0.0] * 4, [0.0] * 4, [1e308, 0.0, 0.0, 1e308]]))  # trace of X
+    @example(triple=(2, [[1e200] * 4, [1e200] * 4, [1.0, 0.0, 0.0, 1.0]]))  # commutator
+    @example(triple=(2, [[0.0] * 4, [0.0] * 4, [1.0, 1e308, 1e308, 1.0]]))  # X X
+    def test_verify_obstructions_never_raises(self, tmp_path, triple):
+        n, matrices = triple
+        argv = ["verify", "obstructions"]
+        for name, data in zip("abx", matrices):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
+            argv += [f"--input-{name}", str(path)]
         assert main(argv) in (0, 1, 2)

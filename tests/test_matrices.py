@@ -21,7 +21,6 @@ from commkit.matrices import (
     operator_norm,
     permutation_triangularization,
     read_matrix,
-    spectral_radius,
     trace,
     write_matrix,
 )
@@ -361,47 +360,6 @@ class TestOperatorNormComponents:
         count, blocks = _component_blocks(chain, chain != 0.0)
         assert count == 2
         assert sorted(b.shape for b in blocks) == [(201, 201), (311, 311)]
-
-
-class TestSpectralRadius:
-    def test_identity(self):
-        assert math.isclose(spectral_radius(identity(3)), 1.0, rel_tol=1e-9)
-
-    def test_nilpotent(self):
-        assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-
-    def test_offdiagonal_two(self):
-        # characteristic polynomial x^2 - 4: eigenvalues are +/- 2
-        assert math.isclose(spectral_radius([[0.0, 2.0], [2.0, 0.0]]), 2.0, rel_tol=1e-9)
-
-    def test_never_below_true_radius(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            a = rng.standard_normal((n, n))
-            truth = float(np.abs(np.linalg.eigvals(a)).max())
-            est = spectral_radius(a, rel_tol=1e-8)
-            assert est >= truth - 1e-6 * max(truth, 1.0)
-            assert est <= truth * (1.0 + 1e-6) + 1e-9
-
-    def test_bounded_by_operator_norm(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            a = rng.standard_normal((6, 6))
-            assert spectral_radius(a, rel_tol=1e-8) <= operator_norm(a).upper + 1e-6
-
-    def test_gershgorin_cap(self):
-        # defective but radius 1; the cap keeps early iterates from reporting huge values
-        assert spectral_radius([[1.0, 100.0], [0.0, 1.0]], rel_tol=1e-6) <= 101.0
-
-    def test_unconverged_carries_iterates(self):
-        with pytest.raises(UnconvergedError) as err:
-            spectral_radius([[1.0, 100.0], [0.0, 1.0]], rel_tol=1e-12, max_squarings=3)
-        assert len(err.value.data["last_two"]) == 2
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.ones((2, 3)))
 
 
 class TestNilpotencyIndex:

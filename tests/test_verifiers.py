@@ -209,14 +209,30 @@ class TestFiniteDimObstructions:
 
     def test_generated_instances(self):
         rng = np.random.default_rng(17)
+        instances = []
         for _ in range(25):
             n = int(rng.integers(2, 8))
             a = rng.standard_normal((n, n))
             b = rng.standard_normal((n, n))
             p = np.abs(rng.standard_normal((n, n)))
-            x = identity(n) - commutator(a, b) + p
+            instances.append((a, b, identity(n) - commutator(a, b) + p, True))
+        # With A = B = 0 the hypothesis is X >= I entrywise.  Negative trace;
+        # eigenvalues 1 +- 2i; and a strongly non-normal X, all of whose
+        # eigenvalues are 1, that satisfies the hypothesis.
+        for x, holds in (
+            (-(identity(3) + np.abs(rng.standard_normal((3, 3)))), False),
+            (np.array([[2.0, -5.0], [1.0, 0.0]]), False),
+            (identity(4) + np.triu(np.full((4, 4), 1e6), 1), True),
+        ):
+            instances.append((np.zeros_like(x), np.zeros_like(x), x, holds))
+        for a, b, x, holds in instances:
             hyp, trace_vd, spec_vd, _ = finite_dim_obstructions(a, b, x)
-            assert hyp.passed
+            # The certified lower sides against independent oracles.
+            radius = np.abs(np.linalg.eigvals(x)).max()
+            assert spec_vd.witness["spectral_radius_lower"] <= radius
+            assert radius <= np.linalg.svd(x, compute_uv=False)[0]
+            assert trace_vd.witness["trace_lower"] <= math.fsum(np.diagonal(x))
+            assert hyp.passed == holds
             assert trace_vd.passed
             assert spec_vd.passed
 
