@@ -16,11 +16,8 @@ from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_sc
 from .lazyops import compress
 from .matrices import (
     DynamicRangeError,
-    _down,
-    _gamma,
     _require_same_shape,
     _require_square,
-    _up,
     as_matrix,
     commutator,
     entrywise_leq,
@@ -206,14 +203,12 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     obstruction verdicts are vacuous and marked as such (their values are
     still reported).
 
-    (i) and (ii) are decided by one certified lower side of the trace.  Any
-    order of summing the n diagonal entries errs by at most
-    gamma_(n-1) sum|x_ii|, so T = fl(tr X) - slack with slack =
-    gamma_n sum|x_ii|, widened outward, satisfies T <= tr X.  The eigenvalues of X sum to tr X, so
-    |X| >= r(X) >= |tr X| / n >= r_lower = max(|fl(tr X)| - slack, 0) / n,
-    rounded down, and one lower side certifies both halves of (ii).
-    DynamicRangeError is raised when the commutator, its difference from
-    I - X, the trace sums or X X - X overflow.
+    (i) and (ii) are decided by one certified lower side of the trace.
+    fsum is correctly rounded, so T = nextafter(fsum, -inf) <= tr X.  The
+    eigenvalues of X sum to tr X, so |X| >= r(X) >= |tr X| / n >= r_lower =
+    nextafter(nextafter(|fsum|, 0) / n, 0), and one lower side certifies
+    both halves of (ii).  DynamicRangeError is raised when the commutator,
+    its difference from I - X, the trace or X X - X overflow.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -224,19 +219,19 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     n = a.shape[0]
     eye = identity(n)
 
-    diag = np.diagonal(x)
     with np.errstate(over="ignore", invalid="ignore"):
         comm = _in_range(commutator(a, b), "the commutator AB - BA")
         hyp = entrywise_leq(eye - x, comm, tol)
         _in_range(hyp.margin, "[A,B] - (I - X)")
-        trace_x = float(diag.sum())
-        slack = _up(_gamma(n) * _up(float(np.abs(diag).sum()), n), 1)
-        _in_range([trace_x, slack], "the trace of X or its rounding bound")
+        try:
+            trace_x = math.fsum(np.diagonal(x).tolist())
+        except OverflowError:
+            raise DynamicRangeError("the trace of X overflows double precision") from None
         square_defect = _in_range(x @ x - x, "X X - X")
+    trace_lower = _in_range(math.nextafter(trace_x, -math.inf), "the trace of X")
     hyp = dataclasses.replace(hyp, claim="obstruction-hypothesis")
     vacuous = not hyp.passed
 
-    trace_lower = math.nextafter(trace_x - slack, -math.inf)
     trace_margin = trace_lower - n
     trace_ok = vacuous or trace_margin >= -tol
     trace_witness = {"trace": trace_x, "trace_lower": trace_lower, "size": n}
@@ -250,7 +245,7 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
         inputs={"size": n, "tol": tol},
     )
 
-    radius_lower = _down(max(abs(trace_x) - slack, 0.0) / n, 2)
+    radius_lower = math.nextafter(math.nextafter(abs(trace_x), 0.0) / n, 0.0)
     spec_ok = vacuous or radius_lower >= 1.0 - tol
     spec_witness = {"spectral_radius_lower": radius_lower}
     if vacuous:

@@ -1,6 +1,7 @@
 """Inequality checkers: lower bounds, refuters, obstructions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,23 +216,32 @@ class TestFiniteDimObstructions:
             a = rng.standard_normal((n, n))
             b = rng.standard_normal((n, n))
             p = np.abs(rng.standard_normal((n, n)))
-            instances.append((a, b, identity(n) - commutator(a, b) + p, True))
+            instances.append((a, b, identity(n) - commutator(a, b) + p, True, 1e-9))
         # With A = B = 0 the hypothesis is X >= I entrywise.  Negative trace;
-        # eigenvalues 1 +- 2i; and a strongly non-normal X, all of whose
-        # eigenvalues are 1, that satisfies the hypothesis.
-        for x, holds in (
-            (-(identity(3) + np.abs(rng.standard_normal((3, 3)))), False),
-            (np.array([[2.0, -5.0], [1.0, 0.0]]), False),
-            (identity(4) + np.triu(np.full((4, 4), 1e6), 1), True),
+        # eigenvalues 1 +- 2i; a strongly non-normal X, all of whose
+        # eigenvalues are 1, that satisfies the hypothesis; and X = I, where
+        # tr X = n is tight, with a tolerance far below n^2 u.
+        for x, holds, tol in (
+            (-(identity(3) + np.abs(rng.standard_normal((3, 3)))), False, 1e-9),
+            (np.array([[2.0, -5.0], [1.0, 0.0]]), False, 1e-9),
+            (identity(4) + np.triu(np.full((4, 4), 1e6), 1), True, 1e-9),
+            (identity(400), True, 1e-12),
         ):
-            instances.append((np.zeros_like(x), np.zeros_like(x), x, holds))
-        for a, b, x, holds in instances:
-            hyp, trace_vd, spec_vd, _ = finite_dim_obstructions(a, b, x)
+            instances.append((np.zeros_like(x), np.zeros_like(x), x, holds, tol))
+        # Tight with large diagonal entries: X = I - [A,B] = diag(1 - 1e8, 1 + 1e8),
+        # every value exact and the hypothesis met with margin 0.
+        a = np.array([[0.0, 1e4], [0.0, 0.0]])
+        instances.append((a, a.T, identity(2) - commutator(a, a.T), True, 1e-9))
+        for a, b, x, holds, tol in instances:
+            hyp, trace_vd, spec_vd, _ = finite_dim_obstructions(a, b, x, tol)
             # The certified lower sides against independent oracles.
             radius = np.abs(np.linalg.eigvals(x)).max()
             assert spec_vd.witness["spectral_radius_lower"] <= radius
             assert radius <= np.linalg.svd(x, compute_uv=False)[0]
-            assert trace_vd.witness["trace_lower"] <= math.fsum(np.diagonal(x))
+            exact_trace = sum(map(Fraction, np.diagonal(x).tolist()))
+            assert Fraction(trace_vd.witness["trace_lower"]) <= exact_trace
+            r_lower = Fraction(spec_vd.witness["spectral_radius_lower"])
+            assert r_lower * x.shape[0] <= abs(exact_trace)
             assert hyp.passed == holds
             assert trace_vd.passed
             assert spec_vd.passed
