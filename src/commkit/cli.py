@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -46,8 +47,6 @@ from .verifiers import (
 )
 
 SCHEMA_VERSION = 1
-
-_EXACT_CHECK_DEPTH = 2000
 
 
 @dataclass
@@ -133,11 +132,7 @@ def _cmd_construct_halmos(args) -> RunReport:
     pair = halmos_pair_scaled()
     # The library check validates eps and window before anything is built.
     row, _ = _norm_row(pair, eps, args.window)
-    depth = max(args.window, _EXACT_CHECK_DEPTH)
-    verdicts = [
-        exact_commutator_identity_check(pair, depth),
-        nil_index_three_check(pair, depth),
-    ]
+    verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
     payload = {
         "eps": eps,
         "window": args.window,
@@ -167,9 +162,15 @@ def _scaled_tol(tol: float, *factors: float) -> float:
     return tol
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
+
+
 def _cmd_factor(args) -> RunReport:
-    c = read_matrix(args.input)
     tol = args.tol
+    _require_tol(tol)
+    c = read_matrix(args.input)
     if args.kind == "nilpotent":
         if args.eps is None:
             raise ValueError("--eps is required for kind=nilpotent")
@@ -217,6 +218,7 @@ def _cmd_factor(args) -> RunReport:
 
 
 def _cmd_verify(args) -> RunReport:
+    _require_tol(args.tol)
     suite = args.suite
     parameters: dict[str, Any] = {"suite": suite}
     if suite == "popa":

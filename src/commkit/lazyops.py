@@ -18,6 +18,13 @@ of global indices samples all four slots.
 
 Columns are memoized per (node, basis index); trees may be shared freely
 between threads since nodes are never mutated after construction.
+
+Every atom maps a basis index affinely, so apply() also takes a symbolic
+index alpha*t + beta with t >= 0 free (the private _Affine) and returns the
+column for every t at once, keyed by affine indices.  _residue_columns
+evaluates a tree on the residue classes g = M*t + r, r = 1..M, of the least
+power of two M at which every floor division in it is exact; a column that
+comes out empty there vanishes for every g in its class.
 """
 
 from __future__ import annotations
@@ -44,6 +51,60 @@ Column = dict[int, EpsScalar]
 _ONE = EpsScalar.one()
 
 
+class _Refine(Exception):
+    """A floor division met an _Affine whose slope the divisor does not divide."""
+
+
+class _Affine:
+    """The basis index alpha*t + beta for every t >= 0, with integer slope alpha >= 1.
+
+    It stands in for an int in the _column methods: +, - and * by ints stay
+    affine, and divmod, // and % by d are exact for every t when d divides
+    alpha.  Otherwise they raise _Refine, and the caller retries on a finer
+    residue modulus.
+    """
+
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: int, beta: int):
+        self.alpha = alpha
+        self.beta = beta
+
+    def __add__(self, other: int) -> "_Affine":
+        return _Affine(self.alpha, self.beta + other)
+
+    def __sub__(self, other: int) -> "_Affine":
+        return _Affine(self.alpha, self.beta - other)
+
+    def __mul__(self, other: int) -> "_Affine":
+        return _Affine(self.alpha * other, self.beta * other)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, d: int) -> tuple["_Affine", int]:
+        if self.alpha % d:
+            raise _Refine
+        quotient, rest = divmod(self.beta, d)
+        return _Affine(self.alpha // d, quotient), rest
+
+    def __floordiv__(self, d: int) -> "_Affine":
+        return divmod(self, d)[0]
+
+    def __mod__(self, d: int) -> int:
+        return divmod(self, d)[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Affine):
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self) -> str:
+        return f"{self.alpha}t+{self.beta}"
+
+
 def _merge_into(acc: Column, col: Column, factor: EpsScalar | None = None) -> None:
     for idx, value in col.items():
         # Every isometry column carries the unit singleton; multiplying by it only copies.
@@ -67,11 +128,11 @@ class LazyOp:
     __slots__ = ("_cache",)
 
     def __init__(self) -> None:
-        self._cache: dict[int, Column] = {}
+        self._cache: dict[int | _Affine, Column] = {}
 
     def apply(self, n: int) -> Column:
-        """Exact column of the operator at basis index n >= 1."""
-        if not isinstance(n, int) or n < 1:
+        """Exact column of the operator at basis index n >= 1, or at an _Affine index."""
+        if (not isinstance(n, int) or n < 1) and not isinstance(n, _Affine):
             raise ValueError(f"basis index must be a positive integer, got {n!r}")
         cached = self._cache.get(n)
         if cached is None:
@@ -316,6 +377,27 @@ def _times_monomial(op: LazyOp, power: int) -> LazyOp:
     if isinstance(op, _Linear):
         return _Linear(tuple((mono if s is None else s * mono, p) for s, p in op.terms))
     return _Linear(((mono, op),))
+
+
+# Largest residue modulus _residue_columns tries; each nested isometry adjoint
+# can double the modulus a tree needs, and the halmos pairs need 8.
+_MAX_RESIDUE_MODULUS = 4096
+
+
+def _residue_columns(op: LazyOp) -> tuple[int, list[Column]]:
+    """(M, columns): op at the symbolic index M*t + r for r = 1..M, in order.
+
+    M is the least power of two at which no floor division in the tree
+    refines.  Every basis index g >= 1 lies in exactly one class.  Raises
+    ValueError when the tree needs a modulus above _MAX_RESIDUE_MODULUS.
+    """
+    modulus = 1
+    while modulus <= _MAX_RESIDUE_MODULUS:
+        try:
+            return modulus, [op.apply(_Affine(modulus, r)) for r in range(1, modulus + 1)]
+        except _Refine:
+            modulus *= 2
+    raise ValueError(f"operator needs a residue modulus above {_MAX_RESIDUE_MODULUS}")
 
 
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:

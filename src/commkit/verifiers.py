@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
-from .lazyops import compress
+from .lazyops import LazyOp, _residue_columns, compress
 from .matrices import (
     DynamicRangeError,
     _require_same_shape,
@@ -90,6 +90,13 @@ def _window(a: np.ndarray, interior: int | None) -> np.ndarray:
     return a if interior is None else a[:interior, :interior]
 
 
+def _in_range(value, what: str):
+    """``value`` if every entry is finite: for results computed with overflow ignored."""
+    if not np.isfinite(value).all():
+        raise DynamicRangeError(f"{what} overflows double precision")
+    return value
+
+
 def power_inequality_report(
     a,
     b,
@@ -110,6 +117,8 @@ def power_inequality_report(
     interior x interior corner; products are still formed at full size.
     This is the natural mode for finite sections of infinite operators,
     whose outermost rows and columns are truncation artifacts.
+    DynamicRangeError is raised when a power, a sum R_n, a commutator or
+    a compared difference overflows.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -127,27 +136,31 @@ def power_inequality_report(
     verdicts = []
     pre_a = entrywise_leq(_window(np.zeros_like(a), interior), _window(a, interior), tol)
     verdicts.append(dataclasses.replace(pre_a, claim="precondition-a-nonnegative"))
-    comm = commutator(a, b)
-    pre_h = entrywise_leq(_window(eye + x, interior), _window(comm, interior), tol)
-    verdicts.append(dataclasses.replace(pre_h, claim="precondition-commutator-dominates"))
+    # Every product, sum and difference is formed with overflow ignored and checked after.
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = _in_range(commutator(a, b), "the commutator AB - BA")
+        pre_h = entrywise_leq(_window(eye + x, interior), _window(comm, interior), tol)
+        _in_range(pre_h.margin, "[A,B] - (I + X)")
+        verdicts.append(dataclasses.replace(pre_h, claim="precondition-commutator-dominates"))
 
-    # One power and one running sum: R_1 = x and R_(n+1) = a R_n + x a^n
-    # give R_n = sum_j a^(n-1-j) x a^j.
-    power = eye
-    tail = x
-    for n in range(1, n_max + 1):
-        if n > 1:
-            tail = a @ tail + x @ power
-        rhs = float(n) * power + tail
-        power = power @ a
-        lhs = commutator(power, b)
-        vd = entrywise_leq(_window(rhs, interior), _window(lhs, interior), tol)
-        vd = dataclasses.replace(
-            vd,
-            claim=f"power-inequality-n{n}",
-            inputs={**vd.inputs, "n": n},
-        )
-        verdicts.append(vd)
+        # One power and one running sum: R_1 = x and R_(n+1) = a R_n + x a^n
+        # give R_n = sum_j a^(n-1-j) x a^j.
+        power = eye
+        tail = x
+        for n in range(1, n_max + 1):
+            if n > 1:
+                tail = _in_range(a @ tail + x @ power, f"the sum R_{n}")
+            rhs = _in_range(float(n) * power + tail, f"{n} A^{n - 1} + R_{n}")
+            power = _in_range(power @ a, f"the power A^{n}")
+            lhs = _in_range(commutator(power, b), f"the commutator [A^{n}, B]")
+            vd = entrywise_leq(_window(rhs, interior), _window(lhs, interior), tol)
+            _in_range(vd.margin, f"[A^{n}, B] - {n} A^{n - 1} - R_{n}")
+            vd = dataclasses.replace(
+                vd,
+                claim=f"power-inequality-n{n}",
+                inputs={**vd.inputs, "n": n},
+            )
+            verdicts.append(vd)
     return verdicts
 
 
@@ -159,6 +172,7 @@ def wielandt_violation_witness(a, b) -> Verdict:
     some diagonal entry of [a,b] - I is at most -1.  The verdict passes
     when a witness is found; failing to find one is reported as an
     inconsistency (it would indicate a broken implementation).
+    DynamicRangeError is raised when the commutator overflows.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -170,7 +184,9 @@ def wielandt_violation_witness(a, b) -> Verdict:
 
     if not (signed(a) or signed(b)):
         raise ValueError("neither matrix is entrywise signed")
-    diff = commutator(a, b) - identity(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = _in_range(commutator(a, b), "the commutator AB - BA")
+    diff = comm - identity(a.shape[0])
     flat = int(diff.argmin())
     i, j = np.unravel_index(flat, diff.shape)
     value = float(diff[i, j])
@@ -185,13 +201,6 @@ def wielandt_violation_witness(a, b) -> Verdict:
         margin=-value,
         inputs={"shape": list(a.shape)},
     )
-
-
-def _in_range(value, what: str):
-    """``value`` if every entry is finite: for results computed with overflow ignored."""
-    if not np.isfinite(value).all():
-        raise DynamicRangeError(f"{what} overflows double precision")
-    return value
 
 
 def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
@@ -275,49 +284,73 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     return [hyp, trace_vd, spec_vd, idem_vd]
 
 
-def exact_commutator_identity_check(pair: HalmosPair, depth: int) -> Verdict:
-    """Check [A, B] = I + N exactly on the basis columns 1..depth.
+def _first_nonzero_column(op: LazyOp) -> tuple[int | None, dict]:
+    """The least g >= 1 with a nonzero column of op (None if every column is zero), and inputs.
 
-    Evaluates the commutator defect [A, B] - I - N column by column in
-    exact arithmetic; the first nonzero entry found is the witness.
+    The columns are decided by residue classes mod M (see _residue_columns):
+    a class whose symbolic column is empty vanishes for every g in it.  In a
+    nonzero class, a label carrying a nonzero coefficient coincides with each
+    of the other k - 1 labels at one t at most, so the concrete column is
+    nonzero at some t in 0..k-1, and the scan below finds the first one.
+    """
+    modulus, columns = _residue_columns(op)
+    firsts = [
+        next(g for g in range(r, r + modulus * len(col), modulus) if op.apply(g))
+        for r, col in enumerate(columns, start=1)
+        if col
+    ]
+    inputs = {
+        "residue_modulus": modulus,
+        "residue_classes": sum(1 for col in columns if not col),
+    }
+    return min(firsts, default=None), inputs
+
+
+def exact_commutator_identity_check(pair: HalmosPair) -> Verdict:
+    """Prove [A, B] = I + N exactly on every basis column.
+
+    The commutator defect [A, B] - I - N is evaluated in exact arithmetic on
+    the residue classes of the column index mod M.  The inputs report M and
+    the number of classes on which the defect vanishes identically; the
+    identity holds on all of l2 when that is every class.  Otherwise the
+    first nonzero entry of the first nonzero column is the witness.
     """
     defect = pair.commutator_defect()
-    for g in range(1, depth + 1):
-        col = defect.apply(g)
-        if col:
-            idx, value = next(iter(col.items()))
-            return Verdict(
-                passed=False,
-                claim="exact-commutator-identity",
-                witness={"column": g, "basis_index": idx, "value": repr(value)},
-                inputs={"columns_checked": depth},
-            )
+    g, inputs = _first_nonzero_column(defect)
+    if g is not None:
+        idx, value = next(iter(defect.apply(g).items()))
+        return Verdict(
+            passed=False,
+            claim="exact-commutator-identity",
+            witness={"column": g, "basis_index": idx, "value": repr(value)},
+            inputs=inputs,
+        )
     return Verdict(
         passed=True,
         claim="exact-commutator-identity",
         witness=None,
         margin=0.0,
-        inputs={"columns_checked": depth},
+        inputs=inputs,
     )
 
 
-def nil_index_three_check(pair: HalmosPair, depth: int) -> Verdict:
-    """Check N^3 = 0 on the basis columns 1..depth and N^2 != 0 exactly.
+def nil_index_three_check(pair: HalmosPair) -> Verdict:
+    """Prove N^3 = 0 on every basis column and check N^2 != 0 exactly.
 
-    The first column of N^2 that is nonzero, searched among columns
-    1..64, is reported as ``square_nonzero_column``.
+    N^3 is decided by residue classes as in exact_commutator_identity_check.
+    The first column of N^2 that is nonzero, searched among columns 1..64,
+    is reported as ``square_nonzero_column``.
     """
     nil = pair.nilpotent
     cube = nil @ nil @ nil
-    for g in range(1, depth + 1):
-        col = cube.apply(g)
-        if col:
-            return Verdict(
-                passed=False,
-                claim="nil-index-three",
-                witness={"cube_column": g, "support": sorted(col)},
-                inputs={"columns_checked": depth},
-            )
+    g, inputs = _first_nonzero_column(cube)
+    if g is not None:
+        return Verdict(
+            passed=False,
+            claim="nil-index-three",
+            witness={"cube_column": g, "support": sorted(cube.apply(g))},
+            inputs=inputs,
+        )
     square = nil @ nil
     square_support = next((g for g in range(1, 65) if square.apply(g)), None)
     if square_support is None:
@@ -325,14 +358,14 @@ def nil_index_three_check(pair: HalmosPair, depth: int) -> Verdict:
             passed=False,
             claim="nil-index-three",
             witness={"inconsistency": "square vanished on all columns up to 64"},
-            inputs={"columns_checked": depth},
+            inputs=inputs,
         )
     return Verdict(
         passed=True,
         claim="nil-index-three",
         witness=None,
         margin=None,
-        inputs={"columns_checked": depth, "square_nonzero_column": square_support},
+        inputs={**inputs, "square_nonzero_column": square_support},
     )
 
 

@@ -17,7 +17,9 @@ from commkit.lazyops import compress
 from commkit.matrices import commutator, entrywise_leq, identity, operator_norm
 from commkit.verifiers import (
     delta_threshold,
+    exact_commutator_identity_check,
     finite_dim_obstructions,
+    nil_index_three_check,
     popa_bound,
     power_inequality_report,
     wielandt_violation_witness,
@@ -58,6 +60,15 @@ def test_criterion_2_nil_index_three():
         assert cube.apply(g) == {}
     square = nil @ nil
     assert any(square.apply(g) for g in range(1, 65))
+    budget.done()
+
+
+def test_criteria_1_and_2_on_every_column():
+    budget = _Budget("criteria 1-2 on every column by residue classes", 5.0)
+    for pair in (halmos_pair(), halmos_pair_scaled()):
+        for vd in (exact_commutator_identity_check(pair), nil_index_three_check(pair)):
+            assert vd.passed
+            assert vd.inputs["residue_modulus"] == vd.inputs["residue_classes"] == 8
     budget.done()
 
 

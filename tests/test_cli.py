@@ -231,6 +231,30 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["wielandt", "power"])
+    def test_overflow_is_input_error(self, tmp_path, capsys, suite):
+        big = tmp_path / "big.json"
+        eye = tmp_path / "eye.json"
+        write_matrix(big, np.full((2, 2), 1e200))
+        write_matrix(eye, np.identity(2))
+        code = run("verify", suite, "--input-a", big, "--input-b", big, "--input-x", eye)
+        assert code == 2
+        assert "error: the commutator AB - BA overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, data", [
+        (["factor", "nilpotent", "--eps", "1", "--tol", "nan"], [0.0, 1.0, 0.0, 0.0]),
+        (["factor", "tracezero", "--tol", "-1"], [0.0, 1.0, 1.0, 0.0]),
+        (["verify", "obstructions", "--tol", "inf"], [1.0, 0.0, 0.0, 1.0]),
+    ])
+    def test_bad_tol_is_input_error(self, tmp_path, capsys, argv, data):
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"rows": 2, "cols": 2, "data": data}), encoding="utf-8")
+        files = ["--input-a", m, "--input-b", m, "--input-x", m]
+        if argv[0] == "factor":
+            files = ["--input", m, "--out", tmp_path / "o.json"]
+        assert run(*argv, *files) == 2
+        assert "error: --tol must be finite and nonnegative" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_two_point_grid(self, tmp_path, capsys):
@@ -389,6 +413,23 @@ class TestMalformedMatrixInput:
     def test_verify_obstructions_never_raises(self, tmp_path, triple):
         n, matrices = triple
         argv = ["verify", "obstructions"]
+        for name, data in zip("abx", matrices):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
+            argv += [f"--input-{name}", str(path)]
+        assert main(argv) in (0, 1, 2)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(triple=obstruction_triples, suite=st.sampled_from(["wielandt", "power"]))
+    @example(triple=(2, [[1e200] * 4, [1e200] * 4, [1.0, 0.0, 0.0, 1.0]]), suite="wielandt")
+    @example(triple=(2, [[1e200] * 4, [1e200] * 4, [1.0, 0.0, 0.0, 1.0]]), suite="power")
+    def test_verify_wielandt_and_power_never_raise(self, tmp_path, triple, suite):
+        n, matrices = triple
+        argv = ["verify", suite]
         for name, data in zip("abx", matrices):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")

@@ -1,9 +1,15 @@
 """Lazy operator engine: atoms, combinators, block assembly, compression."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
+from commkit.constructions import halmos_pair, halmos_pair_scaled
 from commkit.lazyops import (
+    _Affine,
+    _residue_columns,
     block4,
     compress,
     conjugate_by_block_scaling,
@@ -270,6 +276,43 @@ class TestCompress:
         cert = operator_norm(compress(U, 8, 1.0))
         assert cert.lower == pytest.approx(1.0, abs=1e-12)
         assert cert.upper == pytest.approx(1.0, abs=1e-12)
+
+
+def _at(col, t):
+    """A symbolic column with t substituted into every label, coinciding labels summed."""
+    out = {}
+    for label, value in col.items():
+        n = label.alpha * t + label.beta
+        total = out.get(n, EpsScalar.zero()) + value
+        if total.is_zero:
+            out.pop(n, None)
+        else:
+            out[n] = total
+    return out
+
+
+class TestResidueClasses:
+    @pytest.mark.parametrize("make", [halmos_pair, halmos_pair_scaled])
+    def test_symbolic_columns_match_concrete_ones(self, make):
+        pair = make()
+        defect = pair.commutator_defect()
+        modulus, columns = _residue_columns(defect)
+        assert modulus == 8 and columns == [{}] * 8
+        for op in (pair.a, pair.b, pair.nilpotent, defect):
+            for r in range(1, modulus + 1):
+                col = op.apply(_Affine(modulus, r))
+                for t in range(21):
+                    assert _at(col, t) == op.apply(modulus * t + r)
+
+    def test_classes_follow_the_floor_divisions(self):
+        assert _residue_columns(U) == (1, [{_Affine(2, 2): ONE}])
+        assert _residue_columns(VS) == (2, [{_Affine(1, 1): ONE}, {}])
+        assert _residue_columns(block4([[I] * 4] * 4))[0] == 4
+
+    def test_modulus_above_the_cap_is_an_error(self):
+        nested = functools.reduce(operator.matmul, [VS] * 13)
+        with pytest.raises(ValueError, match="residue modulus"):
+            _residue_columns(nested)
 
 
 def test_concurrent_apply_is_deterministic():

@@ -1,6 +1,7 @@
 """Inequality checkers: lower bounds, refuters, obstructions."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commkit.constructions import HalmosPair, halmos_pair_scaled
-from commkit.lazyops import identity_op, zero_op
-from commkit.matrices import commutator, identity
+from commkit.lazyops import block4, identity_op, pair_swap, zero_op
+from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
     certified_halmos_popa_check,
     delta_threshold,
@@ -304,29 +305,87 @@ class TestCertifiedCheck:
 class TestExactChecks:
     def test_scaled_pair_passes_both(self):
         pair = halmos_pair_scaled()
-        identity_vd = exact_commutator_identity_check(pair, 64)
+        identity_vd = exact_commutator_identity_check(pair)
         assert identity_vd.passed and identity_vd.claim == "exact-commutator-identity"
-        assert identity_vd.inputs == {"columns_checked": 64}
-        nil_vd = nil_index_three_check(pair, 64)
+        assert identity_vd.inputs == {"residue_modulus": 8, "residue_classes": 8}
+        nil_vd = nil_index_three_check(pair)
         assert nil_vd.passed and nil_vd.claim == "nil-index-three"
-        assert nil_vd.inputs["columns_checked"] == 64
+        assert nil_vd.inputs["residue_modulus"] == 8
         assert 1 <= nil_vd.inputs["square_nonzero_column"] <= 64
 
     def test_wrong_nilpotent_breaks_the_identity(self):
         pair = halmos_pair_scaled()
         broken = HalmosPair(pair.a, pair.b, zero_op(), pair.eps_symbolic)
-        vd = exact_commutator_identity_check(broken, 64)
+        vd = exact_commutator_identity_check(broken)
         assert not vd.passed
         assert set(vd.witness) == {"column", "basis_index", "value"}
 
     def test_identity_is_not_nilpotent(self):
         pair = halmos_pair_scaled()
-        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op(), True), 8)
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op(), True))
         assert not vd.passed
         assert vd.witness == {"cube_column": 1, "support": [1]}
 
     def test_zero_square_is_an_inconsistency(self):
         pair = halmos_pair_scaled()
-        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, zero_op(), True), 8)
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, zero_op(), True))
         assert not vd.passed
         assert "inconsistency" in vd.witness
+
+
+def _swap_in_block_44(nil):
+    z = zero_op()
+    return nil + block4([[z] * 4, [z] * 4, [z] * 4, [z, z, z, pair_swap()]])
+
+
+class TestResidueProof:
+    """The proofs' witnesses against a concrete scan of the first 64 columns."""
+
+    def test_swap_mutant_fails_at_column_4(self):
+        pair = halmos_pair_scaled()
+        mutant = HalmosPair(pair.a, pair.b, _swap_in_block_44(pair.nilpotent), True)
+        vd = exact_commutator_identity_check(mutant)
+        assert not vd.passed
+        assert vd.witness == {"column": 4, "basis_index": 8, "value": "EpsScalar(-1)"}
+        assert vd.inputs == {"residue_modulus": 8, "residue_classes": 6}
+
+    @pytest.mark.parametrize("mutate", [
+        _swap_in_block_44,
+        lambda nil: 2 * nil,
+        lambda nil: nil + identity_op(),
+        lambda nil: nil @ pair_swap(),
+    ], ids=["swap-in-block-44", "doubled", "plus-identity", "times-swap"])
+    def test_witnesses_are_the_first_nonzero_columns(self, mutate):
+        pair = halmos_pair_scaled()
+        mutant = HalmosPair(pair.a, pair.b, mutate(pair.nilpotent), True)
+        defect = mutant.commutator_defect()
+        g = next(g for g in range(1, 65) if defect.apply(g))
+        idx, value = next(iter(defect.apply(g).items()))
+        vd = exact_commutator_identity_check(mutant)
+        assert vd.witness == {"column": g, "basis_index": idx, "value": repr(value)}
+        nil = mutant.nilpotent
+        cube = nil @ nil @ nil
+        nil_vd = nil_index_three_check(mutant)
+        g = next((g for g in range(1, 65) if cube.apply(g)), None)
+        if g is None:
+            assert nil_vd.passed
+        else:
+            assert nil_vd.witness == {"cube_column": g, "support": sorted(cube.apply(g))}
+
+
+class TestOverflow:
+    def test_wielandt_commutator(self):
+        big = np.full((2, 2), 1e200)
+        with pytest.raises(DynamicRangeError, match="commutator"):
+            wielandt_violation_witness(big, big)
+
+    @pytest.mark.parametrize("a, b, x, what", [
+        (np.full((2, 2), 1e200), np.full((2, 2), 1e200), np.identity(2), "commutator AB - BA"),
+        (np.diag([1e160, 1.0]), np.zeros((2, 2)), np.zeros((2, 2)), "power A^2"),
+        (np.diag([1e160, 1.0]), np.zeros((2, 2)), np.diag([1e160, 0.0]), "sum R_2"),
+        (np.diag([1e150, 1.0]), np.array([[0.0, 1e10], [0.0, 0.0]]), np.zeros((2, 2)),
+         "commutator [A^2, B]"),
+    ])
+    def test_power_names_the_quantity(self, a, b, x, what):
+        with pytest.raises(DynamicRangeError, match=re.escape(what)):
+            power_inequality_report(a, b, x, n_max=3)
