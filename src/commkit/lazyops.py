@@ -10,7 +10,8 @@ diag(e^3, e^2, e^1, 1).
 
 Basis indices are 1-based throughout.  A column is a dict from basis index
 to EpsScalar; absent keys are zero.  apply() is exact integer/EpsScalar
-arithmetic; a numeric eps enters only in compress().
+arithmetic; a numeric eps enters only in compress(), which scatters a
+finite section from the residue-class columns described below.
 
 The 4x4 block space interleaves the four summands: slot s in {1,2,3,4} with
 internal index n sits at global index 4*(n-1) + s, so every finite window
@@ -384,20 +385,49 @@ def _times_monomial(op: LazyOp, power: int) -> LazyOp:
 _MAX_RESIDUE_MODULUS = 4096
 
 
-def _residue_columns(op: LazyOp) -> tuple[int, list[Column]]:
+def _residue_columns(
+    op: LazyOp, max_modulus: int = _MAX_RESIDUE_MODULUS
+) -> tuple[int, list[Column]]:
     """(M, columns): op at the symbolic index M*t + r for r = 1..M, in order.
 
     M is the least power of two at which no floor division in the tree
     refines.  Every basis index g >= 1 lies in exactly one class.  Raises
-    ValueError when the tree needs a modulus above _MAX_RESIDUE_MODULUS.
+    ValueError when the tree needs a modulus above max_modulus.
     """
     modulus = 1
-    while modulus <= _MAX_RESIDUE_MODULUS:
+    while modulus <= max_modulus:
         try:
             return modulus, [op.apply(_Affine(modulus, r)) for r in range(1, modulus + 1)]
         except _Refine:
             modulus *= 2
-    raise ValueError(f"operator needs a residue modulus above {_MAX_RESIDUE_MODULUS}")
+    raise ValueError(f"operator needs a residue modulus above {max_modulus}")
+
+
+def _coincidences(column: Column) -> set[int]:
+    """The t >= 0 at which two labels of a symbolic column name the same index.
+
+    Labels of equal slope never meet; two of unequal slope meet at one t at
+    most.  There the entry is the exact sum of both coefficients, possibly
+    zero, where a scatter of the labels would keep only one of them.
+    """
+    labels = list(column)
+    hits = set()
+    for k, p in enumerate(labels):
+        for q in labels[:k]:
+            if p.alpha != q.alpha:
+                t, rest = divmod(q.beta - p.beta, p.alpha - q.alpha)
+                if not rest and t >= 0:
+                    hits.add(t)
+    return hits
+
+
+def _put_column(out: np.ndarray, op: LazyOp, g: int, eps: float) -> None:
+    """Overwrite column g of the section ``out`` with op's concrete column g."""
+    m = out.shape[0]
+    out[:, g - 1] = 0.0
+    for i, value in op.apply(g).items():
+        if i <= m:
+            out[i - 1, g - 1] = value.evaluate(eps)
 
 
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
@@ -406,6 +436,13 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     This is the two-sided finite section: entry (i, j) is the coefficient of
     basis vector i in the column at j, for i, j <= m.  Its spectral norm
     never exceeds the operator's.
+
+    The section is scattered from the residue classes of _residue_columns:
+    class r of modulus M fills the columns j = M*t + r, and each label
+    alpha*t + beta the rows alpha*t + beta, with its coefficient evaluated
+    once.  Columns where two labels coincide are evaluated concretely.  A
+    tree that needs a modulus of m or more has one column per class, and
+    its columns 1..m are evaluated concretely instead.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("window size must be a positive integer")
@@ -414,8 +451,20 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     if not isinstance(op, LazyOp):
         raise TypeError("op must be a LazyOp")
     out = np.zeros((m, m))
-    for j in range(1, m + 1):
-        for i, value in op.apply(j).items():
-            if i <= m:
-                out[i - 1, j - 1] = value.evaluate(eps)
+    try:
+        modulus, classes = _residue_columns(op, min(m - 1, _MAX_RESIDUE_MODULUS))
+    except ValueError:
+        for g in range(1, m + 1):
+            _put_column(out, op, g, eps)
+        return out
+    for r, column in enumerate(classes, start=1):
+        t = np.arange((m - r) // modulus + 1)
+        cols = modulus * t + (r - 1)
+        for label, value in column.items():
+            rows = label.alpha * t + (label.beta - 1)
+            inside = rows < m
+            out[rows[inside], cols[inside]] = value.evaluate(eps)
+        for hit in _coincidences(column):
+            if modulus * hit + r <= m:
+                _put_column(out, op, modulus * hit + r, eps)
     return out

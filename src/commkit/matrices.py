@@ -58,7 +58,11 @@ def as_matrix(values) -> np.ndarray:
 
     Rejects empty matrices and non-finite entries.
     """
-    a = np.array(values, dtype=float)
+    return _checked(np.array(values, dtype=float))
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    """The float64 array a as a validated matrix; a 1-D a becomes one row."""
     if a.ndim == 1 and a.size > 0:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.size == 0:
@@ -220,7 +224,7 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     roundoff each gamma term carries for it.  UnconvergedError, carrying
     the bracket, is raised when rounding alone leaves it wider than rel_tol.
     """
-    a = as_matrix(a)
+    a = _checked(np.asarray(a, dtype=float))  # read only, so no copy
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     support = a != 0.0
@@ -228,7 +232,7 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
         return NormCertificate(0.0, 0.0, "exact", "exact")
     split = _component_blocks(a, support)
     if split is None:
-        cert = _dense_certificate(a)  # in place: as_matrix returned a copy
+        cert = _dense_certificate(a)
     else:
         count, blocks = split
         certs = [_dense_certificate(block) for block in blocks]
@@ -250,11 +254,11 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
 def _dense_certificate(a: np.ndarray) -> NormCertificate:
     """The eigendecomposition certificate of operator_norm for a nonzero a.
 
-    Scales ``a`` in place.  The bracket is returned however wide it is.
+    The bracket is returned however wide it is.
     """
     top_entry = float(np.abs(a).max())
     exponent = math.frexp(top_entry)[1]
-    s = np.ldexp(a, -exponent, out=a)
+    s = np.ldexp(a, -exponent)
     m, n = s.shape
     col_sq = (s * s).sum(axis=0)
     cap2 = min(

@@ -231,6 +231,15 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("n_max, code", [(1000, 0), (1001, 2), (100000, 2)])
+    def test_n_max_is_bounded(self, tmp_path, capsys, n_max, code):
+        zero = tmp_path / "zero.json"
+        write_matrix(zero, np.zeros((2, 2)))
+        files = ["--input-a", zero, "--input-b", zero, "--input-x", zero]
+        assert run("verify", "power", *files, "--n-max", n_max, "--tol", 1.0) == code
+        if code == 2:
+            assert f"error: n_max must lie in [1, 1000], got {n_max}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", ["wielandt", "power"])
     def test_overflow_is_input_error(self, tmp_path, capsys, suite):
         big = tmp_path / "big.json"

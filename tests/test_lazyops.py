@@ -269,6 +269,29 @@ class TestCompress:
         with pytest.raises(TypeError):
             compress("nope", 4, 1.0)
 
+    @pytest.mark.parametrize("make", [halmos_pair, halmos_pair_scaled])
+    @pytest.mark.parametrize("m", [1, 7, 64, 129, 512])
+    def test_halmos_sections_match_the_column_loop(self, make, m):
+        pair = make()
+        for op in (pair.a, pair.b, pair.nilpotent):
+            for eps in (0.05, 0.1, 0.4, 1.0):
+                assert np.array_equal(compress(op, m, eps), _column_loop(op, m, eps))
+
+    @pytest.mark.parametrize("sign, corner", [(1, 2.0), (-1, 0.0)])
+    def test_coincident_labels_are_summed_exactly(self, sign, corner):
+        # I and V meet at column 1 only: I e1 = V e1 = e1.
+        op = I + sign * V
+        got = compress(op, 9, 1.0)
+        assert got[0, 0] == corner
+        assert np.array_equal(got, _column_loop(op, 9, 1.0))
+
+    @pytest.mark.parametrize("m", [100, 4097])
+    def test_modulus_beyond_the_window_or_cap_evaluates_columns(self, m):
+        nested = functools.reduce(operator.matmul, [VS] * 13)
+        got = compress(nested, m, 1.0)
+        assert np.array_equal(got, _column_loop(nested, m, 1.0))
+        assert got[0, 0] == 1.0 and np.count_nonzero(got) == 1
+
     def test_isometry_corner_has_unit_norm(self):
         # unit columns force the lower bound to 1; the isometry caps it at 1
         from commkit.matrices import operator_norm
@@ -276,6 +299,16 @@ class TestCompress:
         cert = operator_norm(compress(U, 8, 1.0))
         assert cert.lower == pytest.approx(1.0, abs=1e-12)
         assert cert.upper == pytest.approx(1.0, abs=1e-12)
+
+
+def _column_loop(op, m, eps):
+    """The finite section built one concrete column at a time: the reference for compress."""
+    out = np.zeros((m, m))
+    for j in range(1, m + 1):
+        for i, value in op.apply(j).items():
+            if i <= m:
+                out[i - 1, j - 1] = value.evaluate(eps)
+    return out
 
 
 def _at(col, t):

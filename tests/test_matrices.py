@@ -216,6 +216,33 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(identity(2), rel_tol=0.0)
 
+    @pytest.mark.parametrize("values", [
+        [[1.0, float("nan")]],
+        np.array([[1.0], [float("inf")]]),
+        np.zeros((0, 3)),
+        [],
+        5.0,
+        np.ones((2, 2, 2)),
+        [[1.0, 2.0], [3.0]],
+    ])
+    def test_rejects_what_as_matrix_rejects(self, values):
+        with pytest.raises(ValueError):
+            operator_norm(values)
+
+    def test_reads_lists_and_vectors_as_as_matrix_does(self):
+        assert operator_norm([3.0, 4.0]) == operator_norm(as_matrix([[3.0, 4.0]]))
+        assert operator_norm([[1, 2], [3, 4]]) == operator_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[3.0, 1.0], [1.0, 2.0]]),
+        np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),
+    ], ids=["connected", "split"])
+    def test_leaves_its_argument_unchanged(self, a):
+        before = a.copy()
+        cert = operator_norm(a)
+        assert np.array_equal(a, before)
+        assert cert.components == (1 if a.shape == (2, 2) else 2)
+
     def test_order_monotonicity_smoke(self):
         rng = np.random.default_rng(23)
         for _ in range(50):

@@ -13,6 +13,7 @@ from commkit.constructions import HalmosPair, halmos_pair_scaled
 from commkit.lazyops import block4, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
+    MAX_POWER,
     certified_halmos_popa_check,
     delta_threshold,
     exact_commutator_identity_check,
@@ -155,6 +156,10 @@ class TestPowerInequality:
             power_inequality_report(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 3)))
         with pytest.raises(ValueError):
             power_inequality_report(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), n_max=0)
+        with pytest.raises(ValueError, match=r"n_max must lie in \[1, 1000\], got 1001"):
+            power_inequality_report(
+                np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), n_max=MAX_POWER + 1
+            )
         with pytest.raises(ValueError):
             power_inequality_report(
                 np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), interior=3
