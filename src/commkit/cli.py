@@ -37,6 +37,7 @@ from .matrices import (
 )
 from .verdict import Verdict
 from .verifiers import (
+    _check_section_args,
     certified_halmos_popa_check,
     exact_commutator_identity_check,
     finite_dim_obstructions,
@@ -108,7 +109,7 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _norm_row(pair, eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
+def _norm_row(eps: float, window: int, sections=None) -> tuple[dict[str, Any], Verdict | None]:
     """Table row and verdict of the certified popa check at one grid point.
 
     An unconverged norm marks the row instead of aborting the run; its
@@ -116,7 +117,7 @@ def _norm_row(pair, eps: float, window: int) -> tuple[dict[str, Any], Verdict | 
     """
     row: dict[str, Any] = {"eps": eps, "window": window, "converged": True}
     try:
-        vd = certified_halmos_popa_check(eps, window, pair=pair)
+        vd = certified_halmos_popa_check(eps, window, sections=sections)
     except UnconvergedError as exc:
         row["converged"] = False
         row["error"] = str(exc)
@@ -129,16 +130,17 @@ def _norm_row(pair, eps: float, window: int) -> tuple[dict[str, Any], Verdict | 
 
 def _cmd_construct_halmos(args) -> RunReport:
     eps = args.eps
+    _check_section_args(eps, args.window)  # before any section is built
     pair = halmos_pair_scaled()
-    # The library check validates eps and window before anything is built.
-    row, _ = _norm_row(pair, eps, args.window)
+    a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
+    row, _ = _norm_row(eps, args.window, (a, b, n))
     verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
     payload = {
         "eps": eps,
         "window": args.window,
-        "A": matrix_to_json_dict(compress(pair.a, args.window, eps)),
-        "B": matrix_to_json_dict(compress(pair.b, args.window, eps)),
-        "N": matrix_to_json_dict(compress(pair.nilpotent, args.window, eps)),
+        "A": matrix_to_json_dict(a),
+        "B": matrix_to_json_dict(b),
+        "N": matrix_to_json_dict(n),
     }
     Path(args.out).write_text(json.dumps(payload), encoding="utf-8")
     report = RunReport(
@@ -266,12 +268,11 @@ def _cmd_sweep(args) -> RunReport:
     grid = _parse_grid(args.grid)
     if args.window < 64:
         raise ValueError("--window must be at least 64")
-    pair = halmos_pair_scaled()
     rows = []
     verdicts = []
     notes = []
     for eps in grid:
-        row, vd = _norm_row(pair, eps, args.window)
+        row, vd = _norm_row(eps, args.window)
         rows.append(row)
         if vd is not None:
             verdicts.append(dataclasses.replace(

@@ -17,8 +17,8 @@ The 4x4 block space interleaves the four summands: slot s in {1,2,3,4} with
 internal index n sits at global index 4*(n-1) + s, so every finite window
 of global indices samples all four slots.
 
-Columns are memoized per (node, basis index); trees may be shared freely
-between threads since nodes are never mutated after construction.
+apply() computes every column afresh and returns a new dict; nodes hold no
+cache and are never mutated, so trees may be shared freely between threads.
 
 Every atom maps a basis index affinely, so apply() also takes a symbolic
 index alpha*t + beta with t >= 0 free (the private _Affine) and returns the
@@ -126,20 +126,13 @@ def _merge_into(acc: Column, col: Column, factor: EpsScalar | None = None) -> No
 class LazyOp:
     """Base class for lazy operator expression trees."""
 
-    __slots__ = ("_cache",)
-
-    def __init__(self) -> None:
-        self._cache: dict[int | _Affine, Column] = {}
+    __slots__ = ()
 
     def apply(self, n: int) -> Column:
         """Exact column of the operator at basis index n >= 1, or at an _Affine index."""
         if (not isinstance(n, int) or n < 1) and not isinstance(n, _Affine):
             raise ValueError(f"basis index must be a positive integer, got {n!r}")
-        cached = self._cache.get(n)
-        if cached is None:
-            cached = self._column(n)
-            self._cache[n] = cached
-        return dict(cached)
+        return self._column(n)
 
     def _column(self, n: int) -> Column:
         raise NotImplementedError
@@ -181,18 +174,16 @@ class LazyOp:
 class _Isometry(LazyOp):
     """The positive isometry sending basis vector n to 2n - parity."""
 
-    __slots__ = ("parity", "_adjoint")
+    __slots__ = ("parity",)
 
     def __init__(self, parity: int):
-        super().__init__()
         self.parity = parity
-        self._adjoint = _IsometryAdjoint(self)
 
     def _column(self, n: int) -> Column:
         return {2 * n - self.parity: _ONE}
 
     def adjoint(self) -> LazyOp:
-        return self._adjoint
+        return _IsometryAdjoint(self)
 
 
 class _IsometryAdjoint(LazyOp):
@@ -201,7 +192,6 @@ class _IsometryAdjoint(LazyOp):
     __slots__ = ("isometry",)
 
     def __init__(self, isometry: _Isometry):
-        super().__init__()
         self.isometry = isometry
 
     def _column(self, n: int) -> Column:
@@ -241,7 +231,6 @@ class _Linear(LazyOp):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[EpsScalar | None, LazyOp], ...]):
-        super().__init__()
         self.terms = terms
 
     def _column(self, n: int) -> Column:
@@ -258,7 +247,6 @@ class _Composition(LazyOp):
     __slots__ = ("outer", "inner")
 
     def __init__(self, outer: LazyOp, inner: LazyOp):
-        super().__init__()
         self.outer = outer
         self.inner = inner
 
@@ -276,7 +264,6 @@ class _Block4(LazyOp):
     __slots__ = ("grid",)
 
     def __init__(self, grid: tuple[tuple[LazyOp, ...], ...]):
-        super().__init__()
         self.grid = grid
 
     def _column(self, g: int) -> Column:

@@ -478,6 +478,8 @@ def read_matrix(path) -> np.ndarray:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid matrix JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"invalid matrix JSON in {path}: nests too deeply") from None
         return matrix_from_json_dict(obj)
     return _parse_csv(text)
 

@@ -384,11 +384,20 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
 MAX_WINDOW = 4096
 
 
+def _check_section_args(eps: float, window: int) -> None:
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    if window < 16:
+        raise ValueError("window must be at least 16")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
+
+
 def certified_halmos_popa_check(
     eps: float,
     window: int = 512,
     rel_tol: float = 1e-6,
-    pair: HalmosPair | None = None,
+    sections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Verdict:
     """One-sided certified check of the norm lower bound on the scaled pair.
 
@@ -400,22 +409,23 @@ def certified_halmos_popa_check(
     bound; a certified violation would indicate an implementation bug.
     The inputs also report the section lower bound L_n <= |nilpotent|.
 
-    ``pair`` defaults to a fresh halmos_pair_scaled(); passing one pair to
-    several calls reuses its memoized columns.  Raises ValueError for eps
-    outside (0, 1] or a window outside [16, MAX_WINDOW], before any
-    section is built.
+    ``sections`` are the window x window sections of a, b and the
+    nilpotent of halmos_pair_scaled() at eps, as compress builds them, for
+    a caller that keeps them; by default each is built, certified and
+    dropped in turn.  Raises ValueError for eps outside (0, 1] or a window
+    outside [16, MAX_WINDOW], before any section is built, and for
+    sections of the wrong number or shape.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    if window < 16:
-        raise ValueError("window must be at least 16")
-    if window > MAX_WINDOW:
-        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-    if pair is None:
+    _check_section_args(eps, window)
+    if sections is None:
         pair = halmos_pair_scaled()
-    lower_a = operator_norm(compress(pair.a, window, eps), rel_tol=rel_tol).lower
-    lower_b = operator_norm(compress(pair.b, window, eps), rel_tol=rel_tol).lower
-    lower_n = operator_norm(compress(pair.nilpotent, window, eps), rel_tol=rel_tol).lower
+        ops = (pair.a, pair.b, pair.nilpotent)
+        lowers = [operator_norm(compress(op, window, eps), rel_tol=rel_tol).lower for op in ops]
+    else:
+        if len(sections) != 3 or any(np.shape(s) != (window, window) for s in sections):
+            raise ValueError(f"sections must be three {window}x{window} matrices")
+        lowers = [operator_norm(s, rel_tol=rel_tol).lower for s in sections]
+    lower_a, lower_b, lower_n = lowers
     upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
     vd = popa_bound(lower_a, lower_b, upper_n)
     return dataclasses.replace(

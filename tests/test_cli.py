@@ -56,6 +56,14 @@ class TestConstructHalmos:
         assert "window must be at most 4096" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_floor_is_16(self, tmp_path, capsys):
+        # sweep's floor of 64 is its own: it needs that window to fit slopes.
+        out = tmp_path / "x.json"
+        assert run("construct-halmos", "--eps", 0.5, "--window", 16, "--out", out) == 0
+        assert json.loads(out.read_text())["window"] == 16
+        assert run("construct-halmos", "--eps", 0.5, "--window", 15, "--out", tmp_path / "y.json") == 2
+        assert "window must be at least 16" in capsys.readouterr().err
+
     def test_unwritable_path_is_input_error(self, tmp_path):
         code = run("construct-halmos", "--eps", 1, "--window", 16, "--out", tmp_path / "no" / "x.json")
         assert code == 2
@@ -374,6 +382,19 @@ class TestMalformedMatrixInput:
         code = run("factor", "tracezero", "--input", c, "--out", tmp_path / "o.json")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: matrix JSON")
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "tracezero", "--input", "{a}", "--out", "{out}"],
+        ["verify", "wielandt", "--input-a", "{a}", "--input-b", "{a}"],
+    ], ids=["factor", "verify"])
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_deeply_nested_data_is_input_error(self, tmp_path, capsys, argv, depth):
+        a = tmp_path / "deep.json"
+        # json.dumps cannot build this nesting, so the text is written directly.
+        a.write_text('{"rows": 1, "cols": 1, "data": ' + "[" * depth + "]" * depth + "}")
+        code = run(*(arg.format(a=a, out=tmp_path / "o.json") for arg in argv))
+        assert code == 2
+        assert "nests too deeply" in capsys.readouterr().err
 
     @settings(
         max_examples=150,

@@ -1,7 +1,9 @@
 """Lazy operator engine: atoms, combinators, block assembly, compression."""
 
 import functools
+import gc
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +124,40 @@ class TestCombinators:
         col = W.apply(1)
         col[99] = ONE
         assert W.apply(1) == {2: ONE}
+
+    @pytest.mark.parametrize("op", [
+        U,
+        VS,
+        I,
+        Z,
+        W,
+        2 * (U @ W) + VS,
+        block4([[U, Z, Z, Z], [Z, VS, Z, Z], [Z, Z, I, Z], [Z, Z, Z, W]]),
+        halmos_pair_scaled().a,
+    ], ids=["even", "odd-adjoint", "identity", "zero", "swap", "linear", "block4", "scaled-a"])
+    def test_mutating_a_column_leaves_the_next_apply_unchanged(self, op):
+        for n in range(1, 17):
+            expected = op.apply(n)
+            col = op.apply(n)
+            col[10**6] = ONE
+            for key in list(col)[:-1]:
+                col[key] = ONE + ONE
+            assert op.apply(n) == expected
+
+    def test_apply_retains_no_memory(self):
+        a = halmos_pair_scaled().a
+        a.apply(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for g in range(1, 20_001):
+                a.apply(g)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000
 
     def test_repeated_application_is_deterministic(self):
         op = U @ W + 3 * VS

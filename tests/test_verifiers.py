@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commkit.constructions import HalmosPair, halmos_pair_scaled
-from commkit.lazyops import block4, identity_op, pair_swap, zero_op
+from commkit.lazyops import block4, compress, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
     MAX_POWER,
@@ -300,11 +300,21 @@ class TestCertifiedCheck:
         with pytest.raises(ValueError, match="at most 4096"):
             certified_halmos_popa_check(0.5, window=4097)
 
-    def test_reuses_given_pair(self):
+    def test_given_sections_match_built_ones(self):
         pair = halmos_pair_scaled()
-        vd = certified_halmos_popa_check(0.2, window=64, pair=pair)
+        sections = tuple(compress(op, 64, 0.2) for op in (pair.a, pair.b, pair.nilpotent))
+        vd = certified_halmos_popa_check(0.2, window=64, sections=sections)
         assert vd == certified_halmos_popa_check(0.2, window=64)
         assert 0.0 < vd.inputs["norm_n_lower"] <= vd.inputs["norm_n_upper"]
+
+    def test_rejects_misshapen_sections(self):
+        pair = halmos_pair_scaled()
+        sections = tuple(compress(op, 64, 0.2) for op in (pair.a, pair.b, pair.nilpotent))
+        for bad in (sections[:2], sections + sections[:1], (sections[0][:32, :32],) + sections[1:]):
+            with pytest.raises(ValueError, match="three 64x64"):
+                certified_halmos_popa_check(0.2, window=64, sections=bad)
+        with pytest.raises(ValueError, match="three 128x128"):
+            certified_halmos_popa_check(0.2, window=128, sections=sections)
 
 
 class TestExactChecks:
