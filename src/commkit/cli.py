@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -368,7 +369,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, UnconvergedError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; the verdict stands.  Point stdout at
+        # devnull so the interpreter's exit-time flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.all_passed else 1
 
 

@@ -1,8 +1,10 @@
 """Exact lazy operators on the sequence space l2.
 
-Operators are immutable expression trees over four kinds of atom: the
-positive isometries n -> 2n - parity (parity 0 spreads the basis onto even
-indices, parity 1 onto odd ones), their adjoints, the identity and zero.
+Operators are immutable expression trees over one kind of atom, the
+partial affine index map n -> (mul*n + shift)/div, defined where div divides
+mul*n + shift.  The positive isometries n -> 2n and n -> 2n - 1 spread the
+basis onto even and odd indices, their adjoints are the inverse maps, and
+the identity is n -> n; zero is the empty linear combination.
 Combinators: linear combinations (one node holding (scalar, operator) terms,
 built by +, -, negation and scaling by an integer or EpsScalar), composition
 (@), adjoint, 4x4 block assembly and conjugation by the block scaling
@@ -59,10 +61,10 @@ class _Refine(Exception):
 class _Affine:
     """The basis index alpha*t + beta for every t >= 0, with integer slope alpha >= 1.
 
-    It stands in for an int in the _column methods: +, - and * by ints stay
-    affine, and divmod, // and % by d are exact for every t when d divides
-    alpha.  Otherwise they raise _Refine, and the caller retries on a finer
-    residue modulus.
+    It stands in for an int in the _column methods: + and * by ints stay
+    affine, and divmod by d is exact for every t when d divides alpha.
+    Otherwise it raises _Refine, and the caller retries on a finer residue
+    modulus.
     """
 
     __slots__ = ("alpha", "beta")
@@ -74,9 +76,6 @@ class _Affine:
     def __add__(self, other: int) -> "_Affine":
         return _Affine(self.alpha, self.beta + other)
 
-    def __sub__(self, other: int) -> "_Affine":
-        return _Affine(self.alpha, self.beta - other)
-
     def __mul__(self, other: int) -> "_Affine":
         return _Affine(self.alpha * other, self.beta * other)
 
@@ -87,12 +86,6 @@ class _Affine:
             raise _Refine
         quotient, rest = divmod(self.beta, d)
         return _Affine(self.alpha // d, quotient), rest
-
-    def __floordiv__(self, d: int) -> "_Affine":
-        return divmod(self, d)[0]
-
-    def __mod__(self, d: int) -> int:
-        return divmod(self, d)[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Affine):
@@ -106,10 +99,10 @@ class _Affine:
         return f"{self.alpha}t+{self.beta}"
 
 
-def _merge_into(acc: Column, col: Column, factor: EpsScalar | None = None) -> None:
+def _merge_into(acc: Column, col: Column, factor: EpsScalar = _ONE) -> None:
     for idx, value in col.items():
-        # Every isometry column carries the unit singleton; multiplying by it only copies.
-        if factor is None or factor is _ONE:
+        # Every atom column carries the unit singleton; multiplying by it only copies.
+        if factor is _ONE:
             term = value
         else:
             term = factor if value is _ONE else factor * value
@@ -147,12 +140,12 @@ class LazyOp:
     def __add__(self, other: "LazyOp") -> "LazyOp":
         if not isinstance(other, LazyOp):
             return NotImplemented
-        return _Linear(((None, self), (None, other)))
+        return _Linear(((_ONE, self), (_ONE, other)))
 
     def __sub__(self, other: "LazyOp") -> "LazyOp":
         if not isinstance(other, LazyOp):
             return NotImplemented
-        return _Linear(((None, self), (_MINUS_ONE, other)))
+        return _Linear(((_ONE, self), (_MINUS_ONE, other)))
 
     def __neg__(self) -> "LazyOp":
         return _Linear(((_MINUS_ONE, self),))
@@ -171,66 +164,36 @@ class LazyOp:
         return _Composition(self, other)
 
 
-class _Isometry(LazyOp):
-    """The positive isometry sending basis vector n to 2n - parity."""
+class _Atom(LazyOp):
+    """The partial index map n -> (mul*n + shift)/div, zero where div does not divide."""
 
-    __slots__ = ("parity",)
+    __slots__ = ("mul", "div", "shift")
 
-    def __init__(self, parity: int):
-        self.parity = parity
-
-    def _column(self, n: int) -> Column:
-        return {2 * n - self.parity: _ONE}
-
-    def adjoint(self) -> LazyOp:
-        return _IsometryAdjoint(self)
-
-
-class _IsometryAdjoint(LazyOp):
-    """Adjoint of an _Isometry: 2n - parity -> n, other indices -> 0."""
-
-    __slots__ = ("isometry",)
-
-    def __init__(self, isometry: _Isometry):
-        self.isometry = isometry
+    def __init__(self, mul: int, div: int, shift: int):
+        self.mul = mul
+        self.div = div
+        self.shift = shift
 
     def _column(self, n: int) -> Column:
-        half, rest = divmod(n + self.isometry.parity, 2)
-        return {} if rest else {half: _ONE}
+        image, rest = divmod(self.mul * n + self.shift, self.div)
+        return {} if rest else {image: _ONE}
 
     def adjoint(self) -> LazyOp:
-        return self.isometry
-
-
-class _Identity(LazyOp):
-    __slots__ = ()
-
-    def _column(self, n: int) -> Column:
-        return {n: _ONE}
-
-    def adjoint(self) -> LazyOp:
-        return self
-
-
-class _Zero(LazyOp):
-    __slots__ = ()
-
-    def _column(self, n: int) -> Column:
-        return {}
-
-    def adjoint(self) -> LazyOp:
-        return self
+        if self.mul == self.div and self.shift == 0:
+            return self
+        return _Atom(self.div, self.mul, -self.shift)
 
 
 class _Linear(LazyOp):
     """The linear combination sum(scalar * op) over its (scalar, op) terms.
 
-    A None scalar stands for 1 and skips the multiplication.
+    A term whose scalar is the _ONE singleton skips the multiplication; the
+    empty combination is zero.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[EpsScalar | None, LazyOp], ...]):
+    def __init__(self, terms: tuple[tuple[EpsScalar, LazyOp], ...]):
         self.terms = terms
 
     def _column(self, n: int) -> Column:
@@ -267,12 +230,11 @@ class _Block4(LazyOp):
         self.grid = grid
 
     def _column(self, g: int) -> Column:
-        slot = (g - 1) % 4
-        inner_index = (g - 1) // 4 + 1
+        inner, slot = divmod(g + 3, 4)
         out: Column = {}
         for row in range(4):
-            col = self.grid[row][slot].apply(inner_index)
-            embedded = {4 * (m - 1) + row + 1: v for m, v in col.items()}
+            col = self.grid[row][slot].apply(inner)
+            embedded = {4 * m + (row - 3): v for m, v in col.items()}
             _merge_into(out, embedded)
         return out
 
@@ -284,10 +246,10 @@ class _Block4(LazyOp):
 
 
 _MINUS_ONE = EpsScalar.integer(-1)
-_EVEN = _Isometry(0)
-_ODD = _Isometry(1)
-_IDENTITY = _Identity()
-_ZERO = _Zero()
+_EVEN = _Atom(2, 1, 0)
+_ODD = _Atom(2, 1, -1)
+_IDENTITY = _Atom(1, 1, 0)
+_ZERO = _Linear(())
 
 
 def even_isometry() -> LazyOp:
@@ -346,14 +308,14 @@ def conjugate_by_block_scaling(op: LazyOp) -> LazyOp:
         return _Block4(tuple(
             tuple(_times_monomial(op.grid[i][j], j - i) for j in range(4)) for i in range(4)
         ))
+    if op is _IDENTITY or op is _ZERO:
+        return op
     if isinstance(op, _Linear):
         return _Linear(tuple((s, conjugate_by_block_scaling(p)) for s, p in op.terms))
     if isinstance(op, _Composition):
         return _Composition(
             conjugate_by_block_scaling(op.outer), conjugate_by_block_scaling(op.inner)
         )
-    if isinstance(op, (_Identity, _Zero)):
-        return op
     raise ValueError("operator has no 4x4 slot structure to conjugate")
 
 
@@ -363,11 +325,11 @@ def _times_monomial(op: LazyOp, power: int) -> LazyOp:
         return op
     mono = EpsScalar.monomial(1, power)
     if isinstance(op, _Linear):
-        return _Linear(tuple((mono if s is None else s * mono, p) for s, p in op.terms))
+        return _Linear(tuple((mono if s is _ONE else s * mono, p) for s, p in op.terms))
     return _Linear(((mono, op),))
 
 
-# Largest residue modulus _residue_columns tries; each nested isometry adjoint
+# Largest residue modulus _residue_columns tries; each nested atom with div 2
 # can double the modulus a tree needs, and the halmos pairs need 8.
 _MAX_RESIDUE_MODULUS = 4096
 

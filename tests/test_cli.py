@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,21 @@ class TestReportContract:
         with pytest.raises(SystemExit) as err:
             run("verify", "unknown-suite")
         assert err.value.code == 2
+
+    def test_closed_stdout_keeps_the_verdict_exit_code(self, tmp_path):
+        # A reader that stops early (`| head`) must not turn passing verdicts into exit 1.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = ["--json", "construct-halmos", "--eps", "0.5", "--window", "64", "--out", str(tmp_path / "h.json")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "commkit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert (tmp_path / "h.json").exists()
 
 
 def test_huge_eps_is_input_error_naming_eps(tmp_path, capsys):

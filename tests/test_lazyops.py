@@ -225,6 +225,13 @@ class TestConjugation:
     def test_identity_and_zero_pass_through(self):
         assert conjugate_by_block_scaling(I) is I
         assert conjugate_by_block_scaling(Z) is Z
+        assert I.adjoint() is I
+        conj = conjugate_by_block_scaling(I.adjoint())
+        for g in range(1, 30):
+            assert conj.apply(g) == {g: ONE}
+        defect = conjugate_by_block_scaling(halmos_pair().commutator_defect().adjoint())
+        for g in range(1, 65):
+            assert defect.apply(g) == {}
 
     def test_compression_matches_diagonal_conjugation(self):
         # numeric cross-check: compressing the conjugated operator equals
@@ -245,6 +252,28 @@ class TestConjugation:
         got = compress(conj, m, eps)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-12 * scale
+
+
+def _adjoint_cases():
+    mixed = block4([
+        [Z, VS, Z, 3 * I],
+        [Z, US, I, Z],
+        [VS, Z, US, 2 * W],
+        [US, Z, VS, Z],
+    ])
+    cases = [
+        ("even", U), ("odd", V), ("even-adjoint", US), ("swap", W), ("identity", I),
+        ("zero", Z), ("linear", 2 * (U @ W) + VS), ("block4", mixed),
+    ]
+    for name, make in (("plain", halmos_pair), ("scaled", halmos_pair_scaled)):
+        pair = make()
+        cases += [
+            (f"{name}-a", pair.a),
+            (f"{name}-b", pair.b),
+            (f"{name}-N", pair.nilpotent),
+            (f"{name}-defect", pair.commutator_defect()),
+        ]
+    return [pytest.param(op, id=name) for name, op in cases]
 
 
 class TestCompress:
@@ -327,6 +356,12 @@ class TestCompress:
         got = compress(nested, m, 1.0)
         assert np.array_equal(got, _column_loop(nested, m, 1.0))
         assert got[0, 0] == 1.0 and np.count_nonzero(got) == 1
+
+    @pytest.mark.parametrize("op", _adjoint_cases())
+    @pytest.mark.parametrize("m", [1, 7, 64, 129])
+    def test_adjoint_section_is_the_transpose(self, op, m):
+        for eps in (0.1, 1.0):
+            assert np.array_equal(compress(op.adjoint(), m, eps), compress(op, m, eps).T)
 
     def test_isometry_corner_has_unit_norm(self):
         # unit columns force the lower bound to 1; the isometry caps it at 1
