@@ -311,9 +311,11 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--grid must be comma-separated numbers, got {text!r}") from None
     if not grid:
         raise ValueError("--grid is empty")
-    for eps in grid:
+    for k, eps in enumerate(grid):
         if not (0.0 < eps <= 1.0):
             raise ValueError(f"grid value {eps} outside (0, 1]")
+        if eps in grid[:k]:
+            raise ValueError(f"grid value {eps} is repeated")
     return grid
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from .lazyops import (
     LazyOp,
     block4,
-    conjugate_by_block_scaling,
     even_isometry,
     identity_op,
     odd_isometry,
@@ -28,6 +27,7 @@ from .matrices import (
     matrix_to_json_dict,
     permutation_triangularization,
 )
+from .scalars import EpsScalar
 
 __all__ = [
     "FactorPair",
@@ -73,80 +73,69 @@ class FactorPair:
         return {"A": matrix_to_json_dict(self.a), "B": matrix_to_json_dict(self.b)}
 
 
-# The nonzero blocks of the nilpotent part, (row, col) -> (coefficient, word).
-# A word composes the even isometry u, the odd isometry v and the pair swap
-# w, so it is itself an isometry and the block's operator norm is exactly
-# |coefficient|.  halmos_pair builds the operator and
-# halmos_nilpotent_majorant its norm bound from this one table.
-_NIL_BLOCKS = {
-    (1, 3): (-2, "w"),
-    (1, 4): (-4, "vw"),
-    (2, 3): (2, "u"),
-    (2, 4): (2, "v"),
-    (3, 4): (-4, "uw"),
+# The nonzero blocks of the Halmos pair: operator -> (row, col) -> (coefficient,
+# word).  A word composes the even and odd isometries u and v, their adjoints
+# U and V, the pair swap w and the identity 1; each word here has norm one, so
+# block (i, j) has norm |coefficient|, times eps**(j - i) in the scaled family.
+_BLOCKS = {
+    "a": {(1, 2): (1, "V"), (1, 4): (3, "1"),
+          (2, 2): (1, "U"), (2, 3): (1, "1"),
+          (3, 1): (1, "V"), (3, 3): (1, "U"), (3, 4): (2, "w"),
+          (4, 1): (1, "U"), (4, 3): (1, "V")},
+    "b": {(1, 3): (2, "v"), (1, 4): (2, "u"),
+          (3, 2): (1, "1"), (3, 3): (2, "u"), (3, 4): (2, "v"),
+          (4, 1): (1, "1")},
+    "nilpotent": {(1, 3): (-2, "w"), (1, 4): (-4, "vw"),
+                  (2, 3): (2, "u"), (2, 4): (2, "v"),
+                  (3, 4): (-4, "uw")},
 }
+
+
+def _build_pair(eps_symbolic: bool) -> HalmosPair:
+    """The pair of _BLOCKS; with eps_symbolic, block (i, j) carries eps**(j - i).
+
+    A block of coefficient 1 and power 0 is its bare word, any other word * monomial.
+    """
+    u, v, w, one = even_isometry(), odd_isometry(), pair_swap(), identity_op()
+    letters = {"u": u, "v": v, "U": u.adjoint(), "V": v.adjoint(), "w": w, "1": one}
+    ops = {}
+    for name, blocks in _BLOCKS.items():
+        grid = [[zero_op()] * 4 for _ in range(4)]
+        for (i, j), (coeff, word) in blocks.items():
+            block = functools.reduce(operator.matmul, (letters[c] for c in word))
+            power = j - i if eps_symbolic else 0
+            if (coeff, power) != (1, 0):
+                block = block * EpsScalar.monomial(coeff, power)
+            grid[i - 1][j - 1] = block
+        ops[name] = block4(grid)
+    return HalmosPair(**ops, eps_symbolic=eps_symbolic)
 
 
 def halmos_pair() -> HalmosPair:
     """The 4x4 block pair whose commutator is the identity plus a nil-index-3
     perturbation, with every entry of a and b nonnegative."""
-    u = even_isometry()
-    v = odd_isometry()
-    us = u.adjoint()
-    vs = v.adjoint()
-    w = pair_swap()
-    one = identity_op()
-    z = zero_op()
-    a = block4([
-        [z, vs, z, 3 * one],
-        [z, us, one, z],
-        [vs, z, us, 2 * w],
-        [us, z, vs, z],
-    ])
-    b = block4([
-        [z, z, 2 * v, 2 * u],
-        [z, z, z, z],
-        [z, one, 2 * u, 2 * v],
-        [one, z, z, z],
-    ])
-    letters = {"u": u, "v": v, "w": w}
-    nil_grid = [[z] * 4 for _ in range(4)]
-    for (i, j), (coeff, word) in _NIL_BLOCKS.items():
-        block = functools.reduce(operator.matmul, (letters[c] for c in word))
-        nil_grid[i - 1][j - 1] = coeff * block
-    nil = block4(nil_grid)
-    return HalmosPair(a=a, b=b, nilpotent=nil, eps_symbolic=False)
+    return _build_pair(eps_symbolic=False)
 
 
 def halmos_pair_scaled() -> HalmosPair:
     """The eps-scaled family: each member conjugated by diag(e^3,e^2,e,1).
 
-    Scaling is carried symbolically, so the commutator identity holds as an
-    exact polynomial identity in eps.  For every eps in (0, 1] the members
-    a and b stay entrywise nonnegative; compression norms scale like
-    eps**-3 for a and b and like eps for the nilpotent part.
+    Block (i, j) carries eps**(j - i) exactly, so the commutator identity
+    holds as a polynomial identity in eps.  For every eps in (0, 1] a and b
+    stay entrywise nonnegative; compression norms scale like eps**-3 for a
+    and b and like eps for the nilpotent part.
     """
-    base = halmos_pair()
-    return HalmosPair(
-        a=conjugate_by_block_scaling(base.a),
-        b=conjugate_by_block_scaling(base.b),
-        nilpotent=conjugate_by_block_scaling(base.nilpotent),
-        eps_symbolic=True,
-    )
+    return _build_pair(eps_symbolic=True)
 
 
 def halmos_nilpotent_majorant(eps: float) -> np.ndarray:
-    """4x4 matrix of the exact block norms of the scaled nilpotent part.
-
-    Block (i, j) of the scaled nilpotent operator is a scalar times a
-    composition of isometries and the pair swap; its norm is exactly
-    |coefficient| * eps**(j - i).  The spectral norm of this matrix is a
-    certified upper bound for the operator's norm.
-    """
+    """4x4 matrix of the exact block norms |coefficient| * eps**(j - i) of the
+    scaled nilpotent part; its spectral norm is a certified upper bound for
+    the operator's norm."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
     out = np.zeros((4, 4))
-    for (i, j), (coeff, _) in _NIL_BLOCKS.items():
+    for (i, j), (coeff, _) in _BLOCKS["nilpotent"].items():
         out[i - 1, j - 1] = abs(coeff) * eps ** (j - i)
     return out
 

@@ -7,8 +7,8 @@ basis onto even and odd indices, their adjoints are the inverse maps, and
 the identity is n -> n; zero is the empty linear combination.
 Combinators: linear combinations (one node holding (scalar, operator) terms,
 built by +, -, negation and scaling by an integer or EpsScalar), composition
-(@), adjoint, 4x4 block assembly and conjugation by the block scaling
-diag(e^3, e^2, e^1, 1).
+(@), adjoint and 4x4 block assembly; constructions puts the eps**(j - i)
+factors of the scaled family on the blocks of the grids it assembles.
 
 Basis indices are 1-based throughout.  A column is a dict from basis index
 to EpsScalar; absent keys are zero.  apply() is exact integer/EpsScalar
@@ -41,7 +41,6 @@ __all__ = [
     "LazyOp",
     "block4",
     "compress",
-    "conjugate_by_block_scaling",
     "even_isometry",
     "identity_op",
     "odd_isometry",
@@ -179,8 +178,6 @@ class _Atom(LazyOp):
         return {} if rest else {image: _ONE}
 
     def adjoint(self) -> LazyOp:
-        if self.mul == self.div and self.shift == 0:
-            return self
         return _Atom(self.div, self.mul, -self.shift)
 
 
@@ -292,41 +289,6 @@ def block4(grid) -> LazyOp:
             if not isinstance(op, LazyOp):
                 raise TypeError(f"grid entries must be LazyOp, got {type(op).__name__}")
     return _Block4(rows)
-
-
-def conjugate_by_block_scaling(op: LazyOp) -> LazyOp:
-    """Conjugate a block-structured operator by diag(e^3 I, e^2 I, e I, I).
-
-    Block (i, j) gains the exact factor eps**(j - i): the monomial joins the
-    scalars of the block's terms (a unit monomial cannot change any
-    coefficient's size), and zero blocks stay zero.  The input must be
-    built from block4 assemblies (combined by linear combinations and
-    compositions); identity and zero commute with the scaling and pass
-    through.  Raises ValueError for operators without slot structure.
-    """
-    if isinstance(op, _Block4):
-        return _Block4(tuple(
-            tuple(_times_monomial(op.grid[i][j], j - i) for j in range(4)) for i in range(4)
-        ))
-    if op is _IDENTITY or op is _ZERO:
-        return op
-    if isinstance(op, _Linear):
-        return _Linear(tuple((s, conjugate_by_block_scaling(p)) for s, p in op.terms))
-    if isinstance(op, _Composition):
-        return _Composition(
-            conjugate_by_block_scaling(op.outer), conjugate_by_block_scaling(op.inner)
-        )
-    raise ValueError("operator has no 4x4 slot structure to conjugate")
-
-
-def _times_monomial(op: LazyOp, power: int) -> LazyOp:
-    """eps**power * op, folding the monomial into the scalars of a _Linear."""
-    if power == 0 or op is _ZERO:
-        return op
-    mono = EpsScalar.monomial(1, power)
-    if isinstance(op, _Linear):
-        return _Linear(tuple((mono if s is _ONE else s * mono, p) for s, p in op.terms))
-    return _Linear(((mono, op),))
 
 
 # Largest residue modulus _residue_columns tries; each nested atom with div 2

@@ -118,8 +118,8 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     a = as_matrix(a)
     b = as_matrix(b)
     _require_same_shape(a, b)
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     diff = b - a
     flat_idx = int(diff.argmin())
     i, j = np.unravel_index(flat_idx, diff.shape)

@@ -57,13 +57,17 @@ def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> 
     This is the necessary condition for solvability of [a,b] >= e + x with
     |x| <= eps, a or b positive, in an algebra whose cone has normality
     constant alpha.  A FAIL certifies that no such x exists for the given
-    pair: the perturbation eps is too small for these norms.
+    pair: the perturbation eps is too small for these norms.  Raises
+    DynamicRangeError when norm_a * norm_b overflows.
     """
     _check_norm_inputs(norm_a, norm_b, alpha)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be positive and finite")
     product = norm_a * norm_b
-    bound = math.log(1.0 / (alpha * eps)) / (2.0 * alpha)
+    if math.isinf(product):
+        raise DynamicRangeError(f"norm_a * norm_b = {norm_a} * {norm_b} overflows double precision")
+    # From the logarithms: 1 / (alpha * eps) overflows for a subnormal eps.
+    bound = -(math.log(alpha) + math.log(eps)) / (2.0 * alpha)
     margin = product - bound
     passed = margin >= 0.0
     witness = None if passed else {"product": product, "bound": bound}
@@ -438,6 +442,6 @@ def certified_halmos_popa_check(
             "norm_b_lower": lower_b,
             "norm_n_lower": lower_n,
             "norm_n_upper": upper_n,
-            "bound": math.log(1.0 / upper_n) / 2.0,  # the bound popa_bound compared against
+            "bound": -math.log(upper_n) / 2.0,  # the bound popa_bound compared against
         },
     )

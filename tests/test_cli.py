@@ -204,6 +204,13 @@ class TestVerify:
     def test_popa_passing_bound_exits_zero(self):
         assert run("verify", "popa", "--norm-a", 2, "--norm-b", 2, "--eps", 0.5) == 0
 
+    def test_popa_norm_product_overflow_is_input_error(self, capsys):
+        code = run("--json", "verify", "popa", "--norm-a", 1e200, "--norm-b", 1e200, "--eps", 0.5)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: norm_a * norm_b = 1e+200 * 1e+200 overflows" in captured.err
+        assert captured.out == ""
+
     def test_popa_needs_flags(self, capsys):
         assert run("verify", "popa", "--norm-a", 1) == 2
         assert "--norm-b" in capsys.readouterr().err
@@ -300,6 +307,9 @@ class TestSweep:
         assert run("sweep", "--grid", "0.5,2.0", "--window", 64, "--out", tmp_path / "s.json") == 2
         capsys.readouterr()
         assert run("sweep", "--grid", "abc", "--window", 64, "--out", tmp_path / "s.json") == 2
+        capsys.readouterr()
+        assert run("sweep", "--grid", "0.5,0.5", "--window", 64, "--out", tmp_path / "s.json") == 2
+        assert "grid value 0.5 is repeated" in capsys.readouterr().err
 
     def test_rejects_small_window(self, tmp_path):
         assert run("sweep", "--grid", "0.5", "--window", 32, "--out", tmp_path / "s.json") == 2

@@ -14,7 +14,6 @@ from commkit.lazyops import (
     _residue_columns,
     block4,
     compress,
-    conjugate_by_block_scaling,
     even_isometry,
     identity_op,
     odd_isometry,
@@ -203,55 +202,27 @@ class TestBlock4:
 
 
 class TestConjugation:
-    def test_block_identity_is_fixed(self):
-        op = block4([[I if r == c else Z for c in range(4)] for r in range(4)])
-        conj = conjugate_by_block_scaling(op)
-        for g in range(1, 30):
-            assert conj.apply(g) == op.apply(g)
-
-    def test_corner_blocks_gain_cubed_factors(self):
-        grid = [[Z] * 4 for _ in range(4)]
-        grid[0][3] = 3 * I  # block (1,4) gains eps**3
-        grid[3][0] = US  # block (4,1) gains eps**-3
-        conj = conjugate_by_block_scaling(block4(grid))
-        assert conj.apply(4) == {1: EpsScalar.monomial(3, 3)}
-        # slot-1 internal 2 (g=5): adjoint of even isometry sends e2 to e1, slot 4
-        assert conj.apply(5) == {4: EpsScalar.monomial(1, -3)}
-
-    def test_requires_slot_structure(self):
-        with pytest.raises(ValueError):
-            conjugate_by_block_scaling(U)
-
-    def test_identity_and_zero_pass_through(self):
-        assert conjugate_by_block_scaling(I) is I
-        assert conjugate_by_block_scaling(Z) is Z
-        assert I.adjoint() is I
-        conj = conjugate_by_block_scaling(I.adjoint())
-        for g in range(1, 30):
-            assert conj.apply(g) == {g: ONE}
-        defect = conjugate_by_block_scaling(halmos_pair().commutator_defect().adjoint())
-        for g in range(1, 65):
-            assert defect.apply(g) == {}
-
     def test_compression_matches_diagonal_conjugation(self):
-        # numeric cross-check: compressing the conjugated operator equals
+        # numeric cross-check: the scaled family is the plain pair conjugated
+        # by diag(e^3, e^2, e, 1), so compressing a scaled member equals
         # D * compression * D^-1 for the evaluated diagonal
-        grid = [
-            [Z, VS, Z, 3 * I],
-            [Z, US, I, Z],
-            [VS, Z, US, 2 * W],
-            [US, Z, VS, Z],
-        ]
-        op = block4(grid)
-        conj = conjugate_by_block_scaling(op)
-        m, eps = 32, 0.3
+        plain, scaled = halmos_pair(), halmos_pair_scaled()
         exponents = np.array([3, 2, 1, 0], dtype=float)
-        d = eps ** exponents[(np.arange(1, m + 1) - 1) % 4]
-        plain = compress(op, m, eps)
-        expected = np.diag(d) @ plain @ np.diag(1.0 / d)
-        got = compress(conj, m, eps)
-        scale = np.abs(expected).max()
-        assert np.abs(got - expected).max() <= 1e-12 * scale
+        for name in ("a", "b", "nilpotent"):
+            for m in (4, 32, 129):
+                for eps in (0.05, 0.3, 1.0):
+                    d = eps ** exponents[np.arange(m) % 4]
+                    op = compress(getattr(plain, name), m, eps)
+                    expected = np.diag(d) @ op @ np.diag(1.0 / d)
+                    got = compress(getattr(scaled, name), m, eps)
+                    scale = np.abs(expected).max()
+                    assert np.abs(got - expected).max() <= 1e-12 * scale, (name, m, eps)
+
+    def test_scaled_blocks_carry_their_eps_power(self):
+        # column 4 is slot 4 of internal index 1: block (1,4) = 3*1 gains
+        # eps**3 and block (3,4) = 2*w gains eps, and w sends e1 to e2
+        col = halmos_pair_scaled().a.apply(4)
+        assert col == {1: EpsScalar.monomial(3, 3), 7: EpsScalar.monomial(2, 1)}
 
 
 def _adjoint_cases():

@@ -159,6 +159,12 @@ class TestEntrywiseLeq:
         with pytest.raises(ValueError):
             entrywise_leq(np.ones((2, 2)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        # nan would fail equal matrices and inf would pass any pair
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            entrywise_leq(np.zeros((2, 2)), np.zeros((2, 2)), tol)
+
 
 class TestOperatorNorm:
     def test_diagonal(self):

@@ -56,6 +56,16 @@ class TestPopaBound:
         with pytest.raises(ValueError):
             popa_bound(1.0, 1.0, 0.0)
 
+    def test_subnormal_eps_keeps_a_finite_bound(self):
+        # 1 / 1e-320 overflows; the bound is ln(1e320) / 2, about 368.4
+        vd = popa_bound(20.0, 20.0, 1e-320)
+        assert vd.passed
+        assert vd.margin == pytest.approx(400.0 - 160.0 * math.log(10.0))
+
+    def test_norm_product_overflow_is_a_range_error(self):
+        with pytest.raises(DynamicRangeError, match="overflows"):
+            popa_bound(1e200, 1e200, 0.5)
+
 
 class TestDeltaThreshold:
     def test_unit_norms(self):
@@ -386,6 +396,20 @@ class TestResidueProof:
             assert nil_vd.passed
         else:
             assert nil_vd.witness == {"cube_column": g, "support": sorted(cube.apply(g))}
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_obstructions_reject_bad_tol(self, tol):
+        eye = identity(2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            finite_dim_obstructions(eye, eye, eye, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_power_report_rejects_bad_tol(self, tol):
+        eye = identity(2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            power_inequality_report(eye, eye, eye, n_max=2, tol=tol)
 
 
 class TestOverflow:
