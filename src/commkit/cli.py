@@ -38,6 +38,7 @@ from .matrices import (
 )
 from .verdict import Verdict
 from .verifiers import (
+    SECTION_REL_TOL,
     _check_section_args,
     certified_halmos_popa_check,
     exact_commutator_identity_check,
@@ -50,6 +51,11 @@ from .verifiers import (
 
 SCHEMA_VERSION = 1
 
+# Largest construct-halmos window.  Its payload holds three dense w x w
+# sections as Python lists, so memory grows with w**2: at eps 0.5 the peak
+# resident set (ru_maxrss, numpy 2.4) was 80 MB at w = 512 and 219 MB at 1024.
+MAX_PAYLOAD_WINDOW = 1024
+
 
 @dataclass
 class RunReport:
@@ -59,6 +65,8 @@ class RunReport:
     tables: list[dict[str, Any]] | None = None
     slopes: dict[str, float] | None = None
     notes: list[str] = field(default_factory=list)
+    # Fixed when the report is made, so every serialization of it agrees.
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -69,7 +77,7 @@ class RunReport:
             "tables": self.tables,
             "slopes": self.slopes,
             "notes": self.notes,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "timestamp": self.timestamp,
             "version": __version__,
         }
 
@@ -123,8 +131,7 @@ def _norm_row(eps: float, window: int, sections=None) -> tuple[dict[str, Any], V
         row["converged"] = False
         row["error"] = str(exc)
         return row, None
-    for key in ("norm_a_lower", "norm_b_lower", "norm_n_lower", "norm_n_upper", "bound"):
-        row[key] = vd.inputs[key]
+    row.update(vd.inputs)
     row["margin"] = vd.margin
     return row, vd
 
@@ -132,6 +139,8 @@ def _norm_row(eps: float, window: int, sections=None) -> tuple[dict[str, Any], V
 def _cmd_construct_halmos(args) -> RunReport:
     eps = args.eps
     _check_section_args(eps, args.window)  # before any section is built
+    if args.window > MAX_PAYLOAD_WINDOW:
+        raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {args.window}")
     pair = halmos_pair_scaled()
     a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
     row, _ = _norm_row(eps, args.window, (a, b, n))
@@ -144,13 +153,12 @@ def _cmd_construct_halmos(args) -> RunReport:
         "N": matrix_to_json_dict(n),
     }
     Path(args.out).write_text(json.dumps(payload), encoding="utf-8")
-    report = RunReport(
+    return RunReport(
         command="construct-halmos",
         parameters={"eps": eps, "window": args.window, "out": str(args.out)},
         verdicts=verdicts,
         tables=[row],
     )
-    return report
 
 
 def _scaled_tol(tol: float, *factors: float) -> float:
@@ -237,7 +245,7 @@ def _cmd_verify(args) -> RunReport:
         a, b = _need_matrices(args, "wielandt", "input_a", "input_b")
         verdicts = [wielandt_violation_witness(a, b)]
         parameters.update(input_a=args.input_a, input_b=args.input_b)
-    elif suite == "power":
+    else:  # power; argparse restricts the choices
         a, b, x = _need_matrices(args, "power", "input_a", "input_b", "input_x")
         verdicts = power_inequality_report(
             a, b, x, n_max=args.n_max, tol=args.tol, interior=args.interior
@@ -249,8 +257,6 @@ def _cmd_verify(args) -> RunReport:
             n_max=args.n_max,
             interior=args.interior,
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown suite {suite}")
     return RunReport(command="verify", parameters=parameters, verdicts=verdicts)
 
 
@@ -277,7 +283,7 @@ def _cmd_sweep(args) -> RunReport:
         rows.append(row)
         if vd is not None:
             verdicts.append(dataclasses.replace(
-                vd, claim=f"certified-popa-eps-{eps:g}", inputs={"eps": eps, "window": args.window}
+                vd, claim=f"certified-popa-eps-{eps!r}", inputs={"eps": eps, "window": args.window}
             ))
     slopes = None
     good = [r for r in rows if r["converged"]]
@@ -286,10 +292,15 @@ def _cmd_sweep(args) -> RunReport:
     if len(good) >= 2:
         log_eps = np.log([r["eps"] for r in good])
         slopes = {
-            "norm_a": float(np.polyfit(log_eps, np.log([r["norm_a_lower"] for r in good]), 1)[0]),
-            "norm_b": float(np.polyfit(log_eps, np.log([r["norm_b_lower"] for r in good]), 1)[0]),
-            "norm_n": float(np.polyfit(log_eps, np.log([r["norm_n_lower"] for r in good]), 1)[0]),
+            name: float(np.polyfit(log_eps, np.log([r[f"{name}_lower"] for r in good]), 1)[0])
+            for name in ("norm_a", "norm_b", "norm_n")
         }
+        error = _slope_error_bound(log_eps)
+        if error > 1e-3:  # slopes print to 4 decimals
+            notes.append(
+                f"slopes are uncertain by up to {error:.3g}: the grid's spread in log eps is "
+                f"too small for lower bounds within rel_tol={SECTION_REL_TOL:g} of the norms"
+            )
     else:
         notes.append("slopes need at least 2 converged grid points")
     report = RunReport(
@@ -302,6 +313,20 @@ def _cmd_sweep(args) -> RunReport:
     )
     Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2), encoding="utf-8")
     return report
+
+
+def _slope_error_bound(x: np.ndarray) -> float:
+    """How far the least-squares slope over x can lie from the section norms' slope.
+
+    Each log lower bound lies in [y - delta, y], y the log section norm and
+    delta = -ln(1 - SECTION_REL_TOL), and the deviations d = x - mean sum to
+    zero, so the slope sum(d y) / sum(d**2) moves by delta sum|d| / (2 sum(d**2)).
+    That is infinite when distinct eps share a logarithm.
+    """
+    dev = x - x.mean()
+    spread = float((dev * dev).sum())
+    delta = -math.log1p(-SECTION_REL_TOL)
+    return delta * float(np.abs(dev).sum()) / (2.0 * spread) if spread > 0.0 else math.inf
 
 
 def _parse_grid(text: str) -> list[float]:

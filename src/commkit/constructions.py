@@ -21,11 +21,9 @@ from .lazyops import (
 )
 from .matrices import (
     DynamicRangeError,
-    _require_square,
+    _square_inputs,
     _topological_order,
-    as_matrix,
     matrix_to_json_dict,
-    permutation_triangularization,
 )
 from .scalars import EpsScalar
 
@@ -151,17 +149,16 @@ def self_commutator_isometry() -> tuple[LazyOp, LazyOp]:
     return t, ts @ t - t @ ts
 
 
-def _support_cycle(c: np.ndarray) -> list[int]:
+def _support_cycle(support: np.ndarray, order: list[int]) -> list[int]:
     """One directed cycle of the support digraph, as 1-based indices.
 
-    Every index the topological sort leaves unplaced has an unplaced
-    predecessor, so walking back along the lowest such predecessor from the
-    lowest unplaced index must revisit an index; the walk reversed from the
-    first visit of that index is a cycle.
+    Every index the topological sort ``order`` leaves unplaced has an
+    unplaced predecessor, so walking back along the lowest such predecessor
+    from the lowest unplaced index must revisit an index; the walk reversed
+    from the first visit of that index is a cycle.
     """
-    support = c > 0.0
-    unplaced = np.ones(c.shape[0], dtype=bool)
-    unplaced[_topological_order(support)] = False
+    unplaced = np.ones(support.shape[0], dtype=bool)
+    unplaced[order] = False
     walk: dict[int, int] = {}  # index -> step at which the walk reached it
     j = int(np.argmax(unplaced))
     while j not in walk:
@@ -172,8 +169,7 @@ def _support_cycle(c: np.ndarray) -> list[int]:
 
 def _nonnegative_square(c) -> np.ndarray:
     """The shared input check of the factorizations."""
-    c = as_matrix(c)
-    _require_square(c)
+    (c,) = _square_inputs(c)
     if float(c.min()) < 0.0:
         raise ValueError("matrix must be entrywise nonnegative")
     return c
@@ -213,11 +209,12 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     c = _nonnegative_square(c)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    order = permutation_triangularization(c)
-    if order is None:
-        path = "->".join(map(str, _support_cycle(c)))
-        raise ValueError(f"matrix is not nilpotent: support cycle {path}")
     n = c.shape[0]
+    support = c > 0.0
+    order = _topological_order(support)
+    if len(order) < n:
+        path = "->".join(map(str, _support_cycle(support, order)))
+        raise ValueError(f"matrix is not nilpotent: support cycle {path}")
     ratio = (1.0 + eps) / eps
     if (n - 1) * math.log10(ratio) > 300.0:
         raise DynamicRangeError(

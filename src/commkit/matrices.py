@@ -72,14 +72,19 @@ def _checked(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-
-
 def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _square_inputs(*values) -> tuple[np.ndarray, ...]:
+    """as_matrix of each value: the first square, the rest of its shape."""
+    first, *rest = matrices = [as_matrix(v) for v in values]
+    if first.shape[0] != first.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {first.shape}")
+    for other in rest:
+        _require_same_shape(first, other)
+    return tuple(matrices)
 
 
 def identity(n: int) -> np.ndarray:
@@ -90,16 +95,12 @@ def identity(n: int) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     """AB - BA for square matrices of equal size."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_square(a)
-    _require_same_shape(a, b)
+    a, b = _square_inputs(a, b)
     return a @ b - b @ a
 
 
 def trace(a) -> float:
-    a = as_matrix(a)
-    _require_square(a)
+    (a,) = _square_inputs(a)
     return float(np.trace(a))
 
 
@@ -230,17 +231,11 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     support = a != 0.0
     if not support.any():
         return NormCertificate(0.0, 0.0, "exact", "exact")
-    split = _component_blocks(a, support)
-    if split is None:
-        cert = _dense_certificate(a)
-    else:
-        count, blocks = split
-        certs = [_dense_certificate(block) for block in blocks]
-        lower = max(certs, key=lambda c: c.lower)
-        upper = max(certs, key=lambda c: c.upper)
-        cert = NormCertificate(
-            lower.lower, upper.upper, lower.lower_method, upper.upper_method, count
-        )
+    count, blocks = _component_blocks(a, support)
+    certs = [_dense_certificate(block) for block in blocks]
+    lower = max(certs, key=lambda c: c.lower)
+    upper = max(certs, key=lambda c: c.upper)
+    cert = NormCertificate(lower.lower, upper.upper, lower.lower_method, upper.upper_method, count)
     if cert.upper - cert.lower > rel_tol * cert.upper:
         raise UnconvergedError(
             f"operator norm bracket [{cert.lower}, {cert.upper}] is wider than "
@@ -318,15 +313,13 @@ def _hook(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             parent[:] = jumped
 
 
-def _component_blocks(
-    a: np.ndarray, support: np.ndarray
-) -> tuple[int, list[np.ndarray]] | None:
+def _component_blocks(a: np.ndarray, support: np.ndarray) -> tuple[int, list[np.ndarray]]:
     """Split a along the connected components of its row/column support.
 
-    Returns None for a connected support; otherwise the number of
-    components and the distinct component blocks, each with its rows and
-    columns in their original order.  Zero rows and columns belong to no
-    block.
+    Returns the number of components and the distinct component blocks,
+    each with its rows and columns in their original order.  Zero rows and
+    columns belong to no block, except that a connected support gives the
+    one block a itself, so a connected matrix is certified whole.
     """
     m, n = support.shape
     rows, cols = np.arange(m), np.arange(n)
@@ -349,7 +342,7 @@ def _component_blocks(
     roots, row_comp = np.unique(parent[live_rows], return_inverse=True)
     count = roots.size
     if count == 1:
-        return None
+        return 1, [a]
     col_comp = np.searchsorted(roots, parent[live_cols + m])
     row_sizes = np.bincount(row_comp, minlength=count)
     col_sizes = np.bincount(col_comp, minlength=count)
@@ -376,8 +369,7 @@ def nilpotency_index(a, tol: float | None = None) -> int | None:
     scaling with the worst-case growth of the products; an explicit tol is
     used as a flat threshold.  A power that is exactly zero always counts.
     """
-    a = as_matrix(a)
-    _require_square(a)
+    (a,) = _square_inputs(a)
     n = a.shape[0]
     scale = 1.0 + float(np.abs(a).max())
     power = np.identity(n)
@@ -416,8 +408,7 @@ def permutation_triangularization(c) -> np.ndarray | None:
     the digraph has a cycle, i.e. iff c is not nilpotent.  Ties break on the
     lowest original index for deterministic output.
     """
-    c = as_matrix(c)
-    _require_square(c)
+    (c,) = _square_inputs(c)
     if float(c.min()) < 0.0:
         raise ValueError("entries must be nonnegative")
     order = _topological_order(c > 0.0)
@@ -437,12 +428,14 @@ def matrix_to_json_dict(a) -> dict:
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
-    """Read the dense form {"rows", "cols", "data"}, data a flat row-major list."""
+    """Read the dense form {"rows", "cols", "data"}: integer rows and cols, flat row-major data."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         data = np.array(obj["data"], dtype=float) if isinstance(obj["data"], list) else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON must have rows/cols/data: {exc}") from None
+    if any(type(k) is not int for k in (rows, cols)):  # not bool, float or str
+        raise ValueError("matrix JSON rows and cols must be integers")
     if data is None or data.ndim != 1:
         raise ValueError("matrix JSON data must be a flat list of numbers")
     if rows < 1 or cols < 1:

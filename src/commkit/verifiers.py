@@ -16,9 +16,7 @@ from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_sc
 from .lazyops import LazyOp, _residue_columns, compress
 from .matrices import (
     DynamicRangeError,
-    _require_same_shape,
-    _require_square,
-    as_matrix,
+    _square_inputs,
     commutator,
     entrywise_leq,
     identity,
@@ -30,6 +28,7 @@ from .verdict import Verdict
 __all__ = [
     "MAX_POWER",
     "MAX_WINDOW",
+    "SECTION_REL_TOL",
     "certified_halmos_popa_check",
     "delta_threshold",
     "exact_commutator_identity_check",
@@ -133,12 +132,7 @@ def power_inequality_report(
     a compared difference overflows; ValueError for n_max outside
     [1, MAX_POWER].
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    x = as_matrix(x)
-    _require_square(a)
-    _require_same_shape(a, b)
-    _require_same_shape(a, x)
+    a, b, x = _square_inputs(a, b, x)
     if not 1 <= n_max <= MAX_POWER:
         raise ValueError(f"n_max must lie in [1, {MAX_POWER}], got {n_max}")
     if interior is not None and not (1 <= interior <= a.shape[0]):
@@ -187,10 +181,7 @@ def wielandt_violation_witness(a, b) -> Verdict:
     inconsistency (it would indicate a broken implementation).
     DynamicRangeError is raised when the commutator overflows.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_square(a)
-    _require_same_shape(a, b)
+    a, b = _square_inputs(a, b)
 
     def signed(m: np.ndarray) -> bool:
         return float(m.min()) >= 0.0 or float(m.max()) <= 0.0
@@ -232,12 +223,7 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     both halves of (ii).  DynamicRangeError is raised when the commutator,
     its difference from I - X, the trace or X X - X overflow.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    x = as_matrix(x)
-    _require_square(a)
-    _require_same_shape(a, b)
-    _require_same_shape(a, x)
+    a, b, x = _square_inputs(a, b, x)
     n = a.shape[0]
     eye = identity(n)
 
@@ -254,47 +240,25 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     hyp = dataclasses.replace(hyp, claim="obstruction-hypothesis")
     vacuous = not hyp.passed
 
+    def obstruction(claim: str, holds: bool, margin: float | None, **witness) -> Verdict:
+        """A failed hypothesis makes the obstruction pass vacuously, and says so."""
+        if vacuous:
+            witness["vacuous"] = True
+        return Verdict(vacuous or holds, claim, witness, margin, {"size": n, "tol": tol})
+
     trace_margin = trace_lower - n
-    trace_ok = vacuous or trace_margin >= -tol
-    trace_witness = {"trace": trace_x, "trace_lower": trace_lower, "size": n}
-    if vacuous:
-        trace_witness["vacuous"] = True
-    trace_vd = Verdict(
-        passed=trace_ok,
-        claim="obstruction-trace",
-        witness=trace_witness,
-        margin=trace_margin,
-        inputs={"size": n, "tol": tol},
-    )
-
     radius_lower = math.nextafter(math.nextafter(abs(trace_x), 0.0) / n, 0.0)
-    spec_ok = vacuous or radius_lower >= 1.0 - tol
-    spec_witness = {"spectral_radius_lower": radius_lower}
-    if vacuous:
-        spec_witness["vacuous"] = True
-    spec_vd = Verdict(
-        passed=spec_ok,
-        claim="obstruction-spectral-radius",
-        witness=spec_witness,
-        margin=radius_lower - 1.0,
-        inputs={"size": n, "tol": tol},
-    )
-
     idem_defect = max_abs(square_defect)
     ident_defect = max_abs(x - eye)
-    is_idempotent = idem_defect <= tol
-    idem_ok = vacuous or (not is_idempotent) or ident_defect <= tol
-    idem_witness = {"idempotency_defect": idem_defect, "identity_defect": ident_defect}
-    if vacuous:
-        idem_witness["vacuous"] = True
-    idem_vd = Verdict(
-        passed=idem_ok,
-        claim="obstruction-idempotent",
-        witness=idem_witness,
-        margin=None,
-        inputs={"size": n, "tol": tol},
-    )
-    return [hyp, trace_vd, spec_vd, idem_vd]
+    return [
+        hyp,
+        obstruction("obstruction-trace", trace_margin >= -tol, trace_margin,
+                    trace=trace_x, trace_lower=trace_lower, size=n),
+        obstruction("obstruction-spectral-radius", radius_lower >= 1.0 - tol, radius_lower - 1.0,
+                    spectral_radius_lower=radius_lower),
+        obstruction("obstruction-idempotent", idem_defect > tol or ident_defect <= tol, None,
+                    idempotency_defect=idem_defect, identity_defect=ident_defect),
+    ]
 
 
 def _first_nonzero_column(op: LazyOp) -> tuple[int | None, dict]:
@@ -348,11 +312,12 @@ def exact_commutator_identity_check(pair: HalmosPair) -> Verdict:
 
 
 def nil_index_three_check(pair: HalmosPair) -> Verdict:
-    """Prove N^3 = 0 on every basis column and check N^2 != 0 exactly.
+    """Prove N^3 = 0 and N^2 != 0 on the basis columns, exactly.
 
-    N^3 is decided by residue classes as in exact_commutator_identity_check.
-    The first column of N^2 that is nonzero, searched among columns 1..64,
-    is reported as ``square_nonzero_column``.
+    Both are decided by residue classes as in exact_commutator_identity_check,
+    and the inputs report the classes of N^3.  The first nonzero column of
+    N^2 is reported as ``square_nonzero_column``; a square that vanishes on
+    every column fails as an inconsistency.
     """
     nil = pair.nilpotent
     cube = nil @ nil @ nil
@@ -364,21 +329,18 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
             witness={"cube_column": g, "support": sorted(cube.apply(g))},
             inputs=inputs,
         )
-    square = nil @ nil
-    square_support = next((g for g in range(1, 65) if square.apply(g)), None)
-    if square_support is None:
+    square_column, _ = _first_nonzero_column(nil @ nil)
+    if square_column is None:
         return Verdict(
             passed=False,
             claim="nil-index-three",
-            witness={"inconsistency": "square vanished on all columns up to 64"},
+            witness={"inconsistency": "square vanishes on every column"},
             inputs=inputs,
         )
     return Verdict(
         passed=True,
         claim="nil-index-three",
-        witness=None,
-        margin=None,
-        inputs={**inputs, "square_nonzero_column": square_support},
+        inputs={**inputs, "square_nonzero_column": square_column},
     )
 
 
@@ -386,6 +348,10 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
 # dense w x w arrays: `sweep --grid 0.1,0.4 --window 4096` peaks at 192 MiB
 # resident (ru_maxrss of a child process, numpy 2.4 with OpenBLAS).
 MAX_WINDOW = 4096
+
+# Relative width of the section norm brackets: each lower bound lies within
+# this fraction of its section's norm.
+SECTION_REL_TOL = 1e-6
 
 
 def _check_section_args(eps: float, window: int) -> None:
@@ -400,7 +366,6 @@ def _check_section_args(eps: float, window: int) -> None:
 def certified_halmos_popa_check(
     eps: float,
     window: int = 512,
-    rel_tol: float = 1e-6,
     sections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Verdict:
     """One-sided certified check of the norm lower bound on the scaled pair.
@@ -424,11 +389,11 @@ def certified_halmos_popa_check(
     if sections is None:
         pair = halmos_pair_scaled()
         ops = (pair.a, pair.b, pair.nilpotent)
-        lowers = [operator_norm(compress(op, window, eps), rel_tol=rel_tol).lower for op in ops]
+        lowers = [operator_norm(compress(op, window, eps), SECTION_REL_TOL).lower for op in ops]
     else:
         if len(sections) != 3 or any(np.shape(s) != (window, window) for s in sections):
             raise ValueError(f"sections must be three {window}x{window} matrices")
-        lowers = [operator_norm(s, rel_tol=rel_tol).lower for s in sections]
+        lowers = [operator_norm(s, SECTION_REL_TOL).lower for s in sections]
     lower_a, lower_b, lower_n = lowers
     upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
     vd = popa_bound(lower_a, lower_b, upper_n)

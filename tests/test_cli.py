@@ -60,6 +60,12 @@ class TestConstructHalmos:
         assert "window must be at most 4096" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_payload_window_is_capped_at_1024(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("construct-halmos", "--eps", 0.5, "--window", 2048, "--out", out) == 2
+        assert "window must be at most 1024" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_floor_is_16(self, tmp_path, capsys):
         # sweep's floor of 64 is its own: it needs that window to fit slopes.
         out = tmp_path / "x.json"
@@ -311,6 +317,31 @@ class TestSweep:
         assert run("sweep", "--grid", "0.5,0.5", "--window", 64, "--out", tmp_path / "s.json") == 2
         assert "grid value 0.5 is repeated" in capsys.readouterr().err
 
+    # Nearly equal points make the fit poorly conditioned, and numpy says so.
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_nearly_equal_grid_values(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run("--json", "sweep", "--grid", "0.5,0.5000001", "--window", 64, "--out", out) == 0
+        report = json.loads(capsys.readouterr().out)
+        claims = [vd["claim"] for vd in report["verdicts"]]
+        assert claims == ["certified-popa-eps-0.5", "certified-popa-eps-0.5000001"]
+        assert any(note.startswith("slopes are uncertain by up to 5:") for note in report["notes"])
+
+    def test_spread_grid_has_no_slope_note(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        run("--json", "sweep", "--grid", "0.05,0.1,0.2,0.4", "--window", 64, "--out", out)
+        report = json.loads(capsys.readouterr().out)
+        assert [vd["claim"] for vd in report["verdicts"]] == [
+            "certified-popa-eps-0.05", "certified-popa-eps-0.1",
+            "certified-popa-eps-0.2", "certified-popa-eps-0.4",
+        ]
+        assert report["notes"] == []
+
+    def test_json_stdout_is_the_file(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert run("--json", "sweep", "--grid", "0.2,0.4", "--window", 64, "--out", out) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
     def test_rejects_small_window(self, tmp_path):
         assert run("sweep", "--grid", "0.5", "--window", 32, "--out", tmp_path / "s.json") == 2
 
@@ -403,6 +434,14 @@ obstruction_triples = st.integers(1, 3).flatmap(
 
 
 class TestMalformedMatrixInput:
+    @pytest.mark.parametrize("rows", [2.7, "2", True])
+    def test_non_integer_dimensions_are_input_error(self, tmp_path, capsys, rows):
+        c = tmp_path / "m.json"
+        c.write_text(json.dumps({"rows": rows, "cols": 2, "data": [0, 1, 0, 0]}), encoding="utf-8")
+        code = run("factor", "tracezero", "--input", c, "--out", tmp_path / "o.json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: matrix JSON")
+
     @pytest.mark.parametrize("data", [5, None, {"a": 1}, [{"a": 1}], "12", [[1.0], [2.0]]])
     def test_non_flat_data_is_input_error(self, tmp_path, capsys, data):
         c = tmp_path / "m.json"

@@ -383,7 +383,7 @@ class TestOperatorNormComponents:
     def test_long_chain_is_one_component(self):
         # A bidiagonal support is one path through all 8192 rows and columns.
         chain = np.identity(4096) + np.diag(np.full(4095, 0.5), 1)
-        assert _component_blocks(chain, chain != 0.0) is None
+        assert _component_blocks(chain, chain != 0.0)[0] == 1
 
     def test_cut_chain_splits_in_two(self):
         rng = np.random.default_rng(8)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commkit.constructions import HalmosPair, halmos_pair_scaled
-from commkit.lazyops import block4, compress, identity_op, pair_swap, zero_op
+from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
     MAX_POWER,
@@ -350,6 +350,18 @@ class TestExactChecks:
         vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op(), True))
         assert not vd.passed
         assert vd.witness == {"cube_column": 1, "support": [1]}
+
+    def test_square_acting_first_past_column_64(self):
+        # N^2 maps slot 3 into slot 1 through (U*)^6, so it acts only on the slot-3
+        # columns whose index within the slot is a multiple of 64; the first is 255.
+        z, i, us = zero_op(), identity_op(), even_isometry().adjoint()
+        nil = block4([[z, i, z, z], [z, z, us @ us @ us @ us @ us @ us, z], [z] * 4, [z] * 4])
+        pair = halmos_pair_scaled()
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, nil, True))
+        assert vd.passed
+        assert vd.inputs["square_nonzero_column"] == 255
+        square = nil @ nil
+        assert not any(square.apply(g) for g in range(1, 255)) and square.apply(255)
 
     def test_zero_square_is_an_inconsistency(self):
         pair = halmos_pair_scaled()
