@@ -32,9 +32,9 @@ from .matrices import (
     UnconvergedError,
     _gamma,
     entrywise_leq,
-    matrix_to_json_dict,
     max_abs,
     read_matrix,
+    write_json,
 )
 from .verdict import Verdict
 from .verifiers import (
@@ -52,8 +52,8 @@ from .verifiers import (
 SCHEMA_VERSION = 1
 
 # Largest construct-halmos window.  Its payload holds three dense w x w
-# sections as Python lists, so memory grows with w**2: at eps 0.5 the peak
-# resident set (ru_maxrss, numpy 2.4) was 80 MB at w = 512 and 219 MB at 1024.
+# sections, so memory grows with w**2: at eps 0.5 the peak resident set
+# (ru_maxrss, numpy 2.4) was 45 MB at w = 512 and 103 MB at 1024.
 MAX_PAYLOAD_WINDOW = 1024
 
 
@@ -145,14 +145,7 @@ def _cmd_construct_halmos(args) -> RunReport:
     a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
     row, _ = _norm_row(eps, args.window, (a, b, n))
     verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
-    payload = {
-        "eps": eps,
-        "window": args.window,
-        "A": matrix_to_json_dict(a),
-        "B": matrix_to_json_dict(b),
-        "N": matrix_to_json_dict(n),
-    }
-    Path(args.out).write_text(json.dumps(payload), encoding="utf-8")
+    write_json(args.out, {"eps": eps, "window": args.window, "A": a, "B": b, "N": n})
     return RunReport(
         command="construct-halmos",
         parameters={"eps": eps, "window": args.window, "out": str(args.out)},
@@ -214,7 +207,7 @@ def _cmd_factor(args) -> RunReport:
         ba_tol = _scaled_tol(rounding, 1.0 + args.eps * max_abs(c))
         vd = entrywise_leq(pair.b @ pair.a, args.eps * c, ba_tol)
         verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
-    Path(args.out).write_text(json.dumps(pair.to_json_dict()), encoding="utf-8")
+    write_json(args.out, {"A": pair.a, "B": pair.b})
     return RunReport(
         command="factor",
         parameters={
@@ -290,13 +283,12 @@ def _cmd_sweep(args) -> RunReport:
     if len(good) < len(rows):
         notes.append(f"{len(rows) - len(good)} grid point(s) did not converge; rows marked")
     if len(good) >= 2:
-        log_eps = np.log([r["eps"] for r in good])
-        slopes = {
-            name: float(np.polyfit(log_eps, np.log([r[f"{name}_lower"] for r in good]), 1)[0])
-            for name in ("norm_a", "norm_b", "norm_n")
-        }
-        error = _slope_error_bound(log_eps)
-        if error > 1e-3:  # slopes print to 4 decimals
+        names = ("norm_a", "norm_b", "norm_n")
+        log_lower = {name: np.log([r[f"{name}_lower"] for r in good]) for name in names}
+        slopes, error = _fit_slopes(np.log([r["eps"] for r in good]), log_lower)
+        if slopes is None:
+            notes.append("slopes need two grid points whose eps differ in log")
+        elif error > 1e-3:  # slopes print to 4 decimals
             notes.append(
                 f"slopes are uncertain by up to {error:.3g}: the grid's spread in log eps is "
                 f"too small for lower bounds within rel_tol={SECTION_REL_TOL:g} of the norms"
@@ -315,18 +307,22 @@ def _cmd_sweep(args) -> RunReport:
     return report
 
 
-def _slope_error_bound(x: np.ndarray) -> float:
-    """How far the least-squares slope over x can lie from the section norms' slope.
+def _fit_slopes(x: np.ndarray, ys: dict[str, np.ndarray]) -> tuple[dict[str, float] | None, float]:
+    """Least-squares slope of each y over x, and how far it can lie from the section norms' slope.
 
+    With the deviations d = x - mean(x), the slope is sum(d y) / sum(d**2).
     Each log lower bound lies in [y - delta, y], y the log section norm and
-    delta = -ln(1 - SECTION_REL_TOL), and the deviations d = x - mean sum to
-    zero, so the slope sum(d y) / sum(d**2) moves by delta sum|d| / (2 sum(d**2)).
-    That is infinite when distinct eps share a logarithm.
+    delta = -ln(1 - SECTION_REL_TOL), and the d sum to zero, so the slope moves
+    by delta sum|d| / (2 sum(d**2)).  When distinct eps share a logarithm,
+    sum(d**2) is 0 and there are no slopes.
     """
     dev = x - x.mean()
     spread = float((dev * dev).sum())
+    if spread == 0.0:
+        return None, math.inf
     delta = -math.log1p(-SECTION_REL_TOL)
-    return delta * float(np.abs(dev).sum()) / (2.0 * spread) if spread > 0.0 else math.inf
+    slopes = {name: float((dev * y).sum()) / spread for name, y in ys.items()}
+    return slopes, delta * float(np.abs(dev).sum()) / (2.0 * spread)
 
 
 def _parse_grid(text: str) -> list[float]:

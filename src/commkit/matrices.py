@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,7 @@ __all__ = [
     "permutation_triangularization",
     "read_matrix",
     "trace",
+    "write_json",
     "write_matrix",
 ]
 
@@ -417,9 +419,19 @@ def permutation_triangularization(c) -> np.ndarray | None:
 
 # -- file formats -----------------------------------------------------------
 #
-# JSON object: {"rows": n, "cols": m, "data": [row-major numbers]}.
-# Readers also accept a plain CSV grid (one row per line, comma-separated
-# decimals, scientific notation fine).  Writers emit JSON only.
+# JSON object: {"rows": n, "cols": m, "data": [row-major numbers]}, where
+# every entry of data is a JSON number.  Readers also accept a plain CSV grid:
+# one row per line, each cell a decimal such as 3, -0.5, .5 or 2e-3.  A file
+# larger than MAX_MATRIX_BYTES is refused before it is parsed.  Writers emit
+# the dense JSON form only, through one encoder, _json_text.
+
+# Largest matrix file read_matrix parses, 32 MiB: a dense 1024 x 1024 matrix
+# at full precision takes about 22 MB.  Parsing holds the text, the parsed
+# entries and the array at once.  The peak resident set (ru_maxrss, numpy 2.4)
+# at the limit was 486 MB for JSON of short numbers ("0.5,"), whose entries
+# load as Python floats, 171 MB for JSON at full precision and 397 MB for a
+# CSV row of zeros.
+MAX_MATRIX_BYTES = 1 << 25
 
 
 def matrix_to_json_dict(a) -> dict:
@@ -427,22 +439,81 @@ def matrix_to_json_dict(a) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
 
+# Entries encoded at a time, so that at most this many float reprs are alive
+# at once: a dense 400 x 400 matrix in one piece held 160,000 of them, about
+# 10 MB more than json.dumps needs.
+_ENCODE_BLOCK = 1 << 14
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj) with each ndarray in obj written as matrix_to_json_dict of it.
+
+    obj is a matrix, or a dict with str keys whose values are matrices, such
+    dicts, or anything json.dumps takes.  The text is byte-identical to
+    json.dumps, but only nonzero entries go through float.__repr__: a run
+    of k zeros is written as one string of k "0.0"s.  Finite sections hold
+    about one nonzero per column.
+    """
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
+    if not isinstance(obj, np.ndarray):
+        return json.dumps(obj)
+    a = as_matrix(obj)
+    flat = a.ravel()
+    # Entries are joined by ", " within a block and across blocks alike.
+    blocks = (_entries_text(flat[i:i + _ENCODE_BLOCK]) for i in range(0, flat.size, _ENCODE_BLOCK))
+    return f'{{"rows": {a.shape[0]}, "cols": {a.shape[1]}, "data": [{", ".join(blocks)}]}}'
+
+
+def _entries_text(flat: np.ndarray) -> str:
+    """The entries of flat as json.dumps writes them, joined by ", "."""
+    nonzero = flat.view(np.int64) != 0  # -0.0 is nonzero: json.dumps writes its sign
+    # One token per nonzero entry and per maximal run of zeros; a zero starts a
+    # run when it comes first or follows a nonzero.
+    starts = np.flatnonzero(nonzero | np.concatenate(([True], nonzero[:-1])))
+    is_value = nonzero[starts]
+    runs = np.diff(starts, append=flat.size)[~is_value].tolist()
+    tokens = np.empty(starts.size, dtype=object)
+    tokens[is_value] = list(map(float.__repr__, flat[nonzero].tolist()))
+    tokens[~is_value] = ["0.0, " * (k - 1) + "0.0" for k in runs]
+    return ", ".join(tokens.tolist())
+
+
+def write_json(path, obj) -> None:
+    """Write obj to path as _json_text(obj), UTF-8."""
+    Path(path).write_text(_json_text(obj), encoding="utf-8")
+
+
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
     """Read the dense form {"rows", "cols", "data"}: integer rows and cols, flat row-major data."""
     try:
-        rows, cols = obj["rows"], obj["cols"]
-        data = np.array(obj["data"], dtype=float) if isinstance(obj["data"], list) else None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix JSON must have rows/cols/data: {exc}") from None
     if any(type(k) is not int for k in (rows, cols)):  # not bool, float or str
         raise ValueError("matrix JSON rows and cols must be integers")
-    if data is None or data.ndim != 1:
+    # JSON numbers load as int or float; bool, str, None, list and dict entries are refused.
+    if type(data) is not list or not set(map(type, data)) <= {int, float}:
         raise ValueError("matrix JSON data must be a flat list of numbers")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
-    return as_matrix(data.reshape(rows, cols))
+    try:
+        a = np.array(data, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix JSON data must be finite numbers: {exc}") from None
+    return _checked(a.reshape(rows, cols))
+
+
+# A CSV cell is a decimal: an optional sign, digits with an optional fraction
+# or a bare fraction, an optional exponent, and spaces or tabs around it.
+# float() alone would also take "1_0", "inf", "nan" and non-ASCII digits.
+# The pattern finds a comma not followed by such a cell, so it keeps no state
+# per cell: a pattern that repeats a group across the row held about 600
+# bytes per cell.
+_CELL = r"[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[ \t]*"
+_BAD_CELL = re.compile(rf",(?!{_CELL}(?:,|\Z))", re.ASCII)  # \d: only 0-9
 
 
 def _parse_csv(text: str) -> np.ndarray:
@@ -450,23 +521,28 @@ def _parse_csv(text: str) -> np.ndarray:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError:
-            raise ValueError(f"CSV line {line_no} is not comma-separated numbers: {line!r}") from None
+        bad = _BAD_CELL.search("," + line)
+        if bad:  # name the cell, not the whole line, which may be megabytes long
+            col = line.count(",", 0, bad.start()) + 1
+            cell = line[bad.start():bad.start() + 40].split(",")[0]
+            raise ValueError(f"CSV line {line_no}, cell {col} is not a decimal number: {cell!r}")
+        rows.append(np.fromstring(line, sep=","))  # rounds each decimal as float() does
     if not rows:
         raise ValueError("no matrix rows found")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("CSV rows have inconsistent lengths")
-    return as_matrix(rows)
+    return _checked(np.array(rows))
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix from a JSON or CSV file (format sniffed from content)."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Read a matrix from a JSON or CSV file (format sniffed from content).
+
+    Reads at most MAX_MATRIX_BYTES + 1 bytes, so a larger file, a pipe or a
+    device is refused without reading it whole.
+    """
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -477,5 +553,14 @@ def read_matrix(path) -> np.ndarray:
     return _parse_csv(text)
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text, from at most MAX_MATRIX_BYTES + 1 bytes read."""
+    with open(path, "rb") as f:
+        raw = f.read(MAX_MATRIX_BYTES + 1)
+    if len(raw) > MAX_MATRIX_BYTES:
+        raise ValueError(f"{path} is larger than {MAX_MATRIX_BYTES} bytes")
+    return raw.decode("utf-8")
+
+
 def write_matrix(path, a) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json_dict(a)), encoding="utf-8")
+    write_json(path, as_matrix(a))

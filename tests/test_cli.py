@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from commkit import cli
+from commkit import cli, matrices
 from commkit.cli import main
-from commkit.constructions import FactorPair, nilpotent_commutator_factors
-from commkit.matrices import matrix_from_json_dict, read_matrix, write_matrix
+from commkit.constructions import FactorPair, halmos_pair_scaled, nilpotent_commutator_factors
+from commkit.lazyops import compress
+from commkit.matrices import matrix_from_json_dict, matrix_to_json_dict, read_matrix, write_matrix
 
 
 def run(*argv):
@@ -35,6 +36,15 @@ class TestConstructHalmos:
         a = matrix_from_json_dict(payload["A"])
         assert a.shape == (64, 64)
         assert a.min() >= 0.0
+
+    def test_payload_is_json_dumps_of_the_dict_form(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert run("construct-halmos", "--eps", 0.4, "--window", 64, "--out", out) == 0
+        pair = halmos_pair_scaled()
+        sections = {key: matrix_to_json_dict(compress(op, 64, 0.4))
+                     for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))}
+        expected = json.dumps({"eps": 0.4, "window": 64, **sections})
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_eps_one_window_64(self, tmp_path):
         out = tmp_path / "h.json"
@@ -317,8 +327,6 @@ class TestSweep:
         assert run("sweep", "--grid", "0.5,0.5", "--window", 64, "--out", tmp_path / "s.json") == 2
         assert "grid value 0.5 is repeated" in capsys.readouterr().err
 
-    # Nearly equal points make the fit poorly conditioned, and numpy says so.
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     def test_nearly_equal_grid_values(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert run("--json", "sweep", "--grid", "0.5,0.5000001", "--window", 64, "--out", out) == 0
@@ -326,6 +334,24 @@ class TestSweep:
         claims = [vd["claim"] for vd in report["verdicts"]]
         assert claims == ["certified-popa-eps-0.5", "certified-popa-eps-0.5000001"]
         assert any(note.startswith("slopes are uncertain by up to 5:") for note in report["notes"])
+
+    def test_grid_whose_logs_coincide_has_no_slopes(self, tmp_path, capsys):
+        # Two distinct eps whose logarithms round to the same double.
+        grid = "1e-05,1.0000000000000002e-05"
+        run("--json", "sweep", "--grid", grid, "--window", 64, "--out", tmp_path / "s.json")
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["verdicts"]) == 2
+        assert report["slopes"] is None
+        assert report["notes"] == ["slopes need two grid points whose eps differ in log"]
+
+    def test_slopes_match_polyfit(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        run("--json", "sweep", "--grid", "0.05,0.1,0.2,0.4", "--window", 64, "--out", out)
+        report = json.loads(capsys.readouterr().out)
+        log_eps = np.log([row["eps"] for row in report["tables"]])
+        for name, slope in report["slopes"].items():
+            log_lower = np.log([row[f"{name}_lower"] for row in report["tables"]])
+            assert slope == pytest.approx(np.polyfit(log_eps, log_lower, 1)[0], rel=1e-12)
 
     def test_spread_grid_has_no_slope_note(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -463,6 +489,52 @@ class TestMalformedMatrixInput:
         code = run(*(arg.format(a=a, out=tmp_path / "o.json") for arg in argv))
         assert code == 2
         assert "nests too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [["0", True, "0", 0], [0, True, 0, 0], [0, "1", 0, 0],
+                                      [0, None, 0, 0], [0, [1], 0, 0]])
+    def test_non_number_entries_are_input_error(self, tmp_path, capsys, data):
+        c = tmp_path / "m.json"
+        c.write_text(json.dumps({"rows": 2, "cols": 2, "data": data}), encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix JSON data must be a flat list of numbers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0,1_0\n0,0\n", "0,inf\n0,0\n", "0,\u0661\n0,0\n"])
+    def test_csv_cell_that_is_not_a_decimal_is_input_error(self, tmp_path, capsys, text):
+        c = tmp_path / "m.csv"
+        c.write_text(text, encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", out) == 2
+        assert "CSV line 1, cell 2 is not a decimal number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "tracezero", "--input", "{a}", "--out", "{out}"],
+        ["verify", "wielandt", "--input-a", "{a}", "--input-b", "{a}"],
+    ], ids=["factor", "verify"])
+    def test_oversized_file_is_input_error(self, tmp_path, capsys, monkeypatch, argv):
+        a = tmp_path / "a.json"
+        write_matrix(a, np.zeros((2, 2)))
+        limit = a.stat().st_size - 1
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", limit)
+        assert run(*(arg.format(a=a, out=tmp_path / "o.json") for arg in argv)) == 2
+        assert capsys.readouterr().err == f"error: {a} is larger than {limit} bytes\n"
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=st.text(alphabet="0123456789.,eE+-_ \t\n", max_size=30) | st.text(max_size=20))
+    @example(text="1,2\n3,4")
+    @example(text="0,1e999\n0,0")
+    def test_arbitrary_csv_never_raises(self, tmp_path, text):
+        c = tmp_path / "m.csv"
+        c.write_text(text, encoding="utf-8")
+        code = main(["factor", "tracezero", "--input", str(c), "--out", str(tmp_path / "o.json")])
+        assert code in (0, 1, 2)
 
     @settings(
         max_examples=150,

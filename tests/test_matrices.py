@@ -5,18 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from commkit import matrices
 from commkit.constructions import halmos_nilpotent_majorant, halmos_pair_scaled
 from commkit.lazyops import compress
 from commkit.matrices import (
     UnconvergedError,
     _component_blocks,
     _dense_certificate,
+    _json_text,
     as_matrix,
     commutator,
     entrywise_leq,
     identity,
     matrix_from_json_dict,
+    matrix_to_json_dict,
     nilpotency_index,
     operator_norm,
     permutation_triangularization,
@@ -494,3 +499,161 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"rows": 1, "data": [1.0]}), encoding="utf-8")
         with pytest.raises(ValueError):
             read_matrix(path)
+
+
+# Entries weighted towards zero runs and the edges of float64: signed zeros,
+# the smallest subnormal and the largest finite magnitude.
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+encoder_entries = st.just(0.0) | st.sampled_from(_EDGE_ENTRIES) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+# (matrix, transposed): a transposed matrix is Fortran-ordered in memory.
+encoder_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        encoder_entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda data: np.array(data).reshape(shape))
+)
+
+
+def _reference_text(a) -> str:
+    return json.dumps(matrix_to_json_dict(a))
+
+
+class TestJsonEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(a=encoder_matrices, transpose=st.booleans())
+    @example(a=np.array([[-0.0]]), transpose=False)
+    @example(a=np.array([[0.0, -0.0, 5e-324, 0.0, 0.0, 1.7976931348623157e308]]), transpose=True)
+    def test_byte_identical_to_json_dumps(self, a, transpose):
+        if transpose:
+            a = a.T
+        assert _json_text(a) == _reference_text(a)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((1, 1)),
+        np.ones((1, 1)),
+        np.zeros((5, 7)),
+        np.full((3, 4), -2.5),
+        np.array([[0.0, 0.0, 1.5, 0.0, -1.7976931348623157e308, 0.0, 0.0]]),
+        np.array([[0.0], [5e-324], [0.0], [0.0]]),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4) % 3),
+        np.array([[-0.0, 0.0], [0.0, -0.0]]),
+    ], ids=["zero-1x1", "one-1x1", "all-zero", "zero-free", "1xn", "nx1", "fortran", "signed-zero"])
+    def test_shapes_and_orders(self, a):
+        assert _json_text(a) == _reference_text(a)
+
+    def test_nested_dicts_and_scalars_keep_json_dumps_text(self):
+        a, b = np.array([[0.0, 2.0], [0.0, 0.0]]), np.identity(3)
+        obj = {"eps": 0.1, "window": 64, "A": a, "meta": {"B": b, "tags": ["x", None, True]}}
+        reference = {**obj, "A": matrix_to_json_dict(a),
+                     "meta": {**obj["meta"], "B": matrix_to_json_dict(b)}}
+        assert _json_text(obj) == json.dumps(reference)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_rejected(self, tmp_path, bad):
+        a = np.array([[0.0, bad], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            _json_text(a)
+        with pytest.raises(ValueError, match="finite"):
+            write_matrix(tmp_path / "m.json", a)
+        assert not (tmp_path / "m.json").exists()
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(a=encoder_matrices, transpose=st.booleans())
+    def test_round_trip_is_bit_equal(self, tmp_path, a, transpose):
+        if transpose:
+            a = a.T
+        path = tmp_path / "m.json"
+        write_matrix(path, a)
+        back = read_matrix(path)
+        assert back.shape == a.shape
+        assert np.array_equal(back.view(np.int64), np.ascontiguousarray(a).view(np.int64))
+
+
+class TestCsvCells:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        style=st.sampled_from(["{!r}", "{:.25e}", "{:.3f}", " {!r}\t"]),
+    )
+    def test_decimals_parse_as_float_does(self, tmp_path, values, style):
+        cells = [style.format(v) for v in values]
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(cells) + "\n" + ",".join(reversed(cells)), encoding="utf-8")
+        expected = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]])
+        assert np.array_equal(read_matrix(path).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("cell", ["+1", "-.5", "5.", "2E+03", "0e0", "  7  ", "\t3"])
+    def test_plain_decimals_are_accepted(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{cell},0\n", encoding="utf-8")
+        assert read_matrix(path).tolist() == [[float(cell), 0.0]]
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", "inf", "-Infinity", "nan", "0x10", "1e", "1.2.3", "", " ", "1 2", "--1", "e5",
+        "\u0661", "\u00a01",
+    ])
+    def test_other_cells_are_rejected(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,0\n0,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="CSV line 2, cell 2 is not a decimal number"):
+            read_matrix(path)
+
+    def test_message_names_the_cell_not_the_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0," * 100_000 + "1e+x," + "0," * 100_000 + "0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_matrix(path)
+        assert str(err.value) == "CSV line 1, cell 100001 is not a decimal number: '1e+x'"
+
+
+class TestBoundedRead:
+    def test_file_at_the_limit_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1,0\n", encoding="utf-8")
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", 8)
+        assert read_matrix(path).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("text", ["0,1\n1,0\n ", '{"rows": 1, "cols": 1, "data": [1]}'])
+    def test_larger_file_is_refused(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", 8)
+        with pytest.raises(ValueError, match="is larger than 8 bytes"):
+            read_matrix(path)
+
+    def test_large_file_is_read_only_to_the_limit(self, tmp_path, monkeypatch):
+        reads = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.inner.close()
+
+            def read(self, n):
+                reads.append(n)
+                return self.inner.read(n)
+
+        path = tmp_path / "m.csv"
+        path.write_text("0," * 1000 + "0\n", encoding="utf-8")
+        def recording_open(p, mode):
+            return Recording(open(p, mode))
+
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", 16)
+        monkeypatch.setattr(matrices, "open", recording_open, raising=False)
+        with pytest.raises(ValueError, match="is larger than 16 bytes"):
+            read_matrix(path)
+        assert reads == [17]
