@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,20 +29,14 @@ from .constructions import (
     trace_zero_commutator_factors,
 )
 from .lazyops import compress
-from .matrices import (
-    UnconvergedError,
-    _gamma,
-    entrywise_leq,
-    max_abs,
-    read_matrix,
-    write_json,
-)
+from .matrices import UnconvergedError, read_matrix, write_json
 from .verdict import Verdict
 from .verifiers import (
     SECTION_REL_TOL,
     _check_section_args,
     certified_halmos_popa_check,
     exact_commutator_identity_check,
+    factorization_checks,
     finite_dim_obstructions,
     nil_index_three_check,
     popa_bound,
@@ -154,114 +149,50 @@ def _cmd_construct_halmos(args) -> RunReport:
     )
 
 
-def _scaled_tol(tol: float, *factors: float) -> float:
-    """tol times the factors, each at least 1, capped at the largest double.
-
-    A tolerance at the cap passes every finite margin, as the uncapped
-    product would, and keeps the report finite.  Capping each factor first
-    keeps 0 * inf out.
-    """
-    for factor in factors:
-        tol = min(tol * min(factor, sys.float_info.max), sys.float_info.max)
-    return tol
-
-
 def _require_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
 
 
 def _cmd_factor(args) -> RunReport:
-    tol = args.tol
-    _require_tol(tol)
+    _require_tol(args.tol)
     c = read_matrix(args.input)
     if args.kind == "nilpotent":
-        if args.eps is None:
-            raise ValueError("--eps is required for kind=nilpotent")
         pair = nilpotent_commutator_factors(c, args.eps)
-        # Each entry of AB - BA is d_i b_ij - b_ij d_j, with no sums, so it is off by a few
-        # ulps of c_ij (d_i + d_j) / |d_i - d_j|, and different ranks of the diagonal ratio
-        # r = (1 + eps) / eps give (d_i + d_j) / |d_i - d_j| <= (r + 1) / (r - 1) = 1 + 2 eps.
-        residual_tol = _scaled_tol(tol, 1.0 + max_abs(c), 1.0 + 2.0 * args.eps)
     else:
         pair = trace_zero_commutator_factors(c)
-        residual_tol = _scaled_tol(tol, c.shape[0], max(max_abs(c), 1.0))
-    recon = pair.a @ pair.b - pair.b @ pair.a
-    residual = max_abs(recon - c)
-    verdicts = [
-        Verdict(
-            passed=residual <= residual_tol,
-            claim="reconstruction-residual",
-            witness=None if residual <= residual_tol else {"residual": residual},
-            margin=residual_tol - residual,
-            inputs={"residual": residual, "tolerance": residual_tol},
-        )
-    ]
-    if args.kind == "nilpotent":
-        # On an arc i -> j, BA_ij = c_ij / (rho - 1) for the float ratio rho = d_i / d_j. At
-        # adjacent ranks rho is r = (1 + eps) / eps up to a few ulps, and BA_ij = eps c_ij at
-        # rho = r.  A relative error delta in rho moves 1 / (rho - 1) by (1 + eps) delta, and
-        # forming BA_ij and eps c_ij adds four roundings, so BA_ij can exceed eps c_ij by about
-        # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
-        rounding = tol + _gamma(8) * (1.0 + 2.0 * args.eps)
-        ba_tol = _scaled_tol(rounding, 1.0 + args.eps * max_abs(c))
-        vd = entrywise_leq(pair.b @ pair.a, args.eps * c, ba_tol)
-        verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
+    verdicts = factorization_checks(c, pair, args.tol, args.eps)
     write_json(args.out, {"A": pair.a, "B": pair.b})
     return RunReport(
         command="factor",
-        parameters={
-            "kind": args.kind,
-            "input": str(args.input),
-            "eps": args.eps,
-            "out": str(args.out),
-            "tol": tol,
-        },
+        parameters={"kind": args.kind, "input": str(args.input), "eps": args.eps,
+                    "out": str(args.out), "tol": args.tol},
         verdicts=verdicts,
     )
 
 
 def _cmd_verify(args) -> RunReport:
-    _require_tol(args.tol)
     suite = args.suite
     parameters: dict[str, Any] = {"suite": suite}
     if suite == "popa":
-        if args.norm_a is None or args.norm_b is None or args.eps is None:
-            raise ValueError("verify popa needs --norm-a, --norm-b and --eps")
         verdicts = [popa_bound(args.norm_a, args.norm_b, args.eps, args.alpha)]
         parameters.update(norm_a=args.norm_a, norm_b=args.norm_b, eps=args.eps, alpha=args.alpha)
-    elif suite == "obstructions":
-        a, b, x = _need_matrices(args, "obstructions", "input_a", "input_b", "input_x")
-        verdicts = finite_dim_obstructions(a, b, x, tol=args.tol)
-        parameters.update(input_a=args.input_a, input_b=args.input_b, input_x=args.input_x)
     elif suite == "wielandt":
-        a, b = _need_matrices(args, "wielandt", "input_a", "input_b")
+        a, b = read_matrix(args.input_a), read_matrix(args.input_b)
         verdicts = [wielandt_violation_witness(a, b)]
         parameters.update(input_a=args.input_a, input_b=args.input_b)
-    else:  # power; argparse restricts the choices
-        a, b, x = _need_matrices(args, "power", "input_a", "input_b", "input_x")
-        verdicts = power_inequality_report(
-            a, b, x, n_max=args.n_max, tol=args.tol, interior=args.interior
-        )
-        parameters.update(
-            input_a=args.input_a,
-            input_b=args.input_b,
-            input_x=args.input_x,
-            n_max=args.n_max,
-            interior=args.interior,
-        )
+    else:  # obstructions or power; argparse restricts the choices
+        _require_tol(args.tol)
+        a, b, x = (read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
+        parameters.update(input_a=args.input_a, input_b=args.input_b, input_x=args.input_x)
+        if suite == "obstructions":
+            verdicts = finite_dim_obstructions(a, b, x, tol=args.tol)
+        else:
+            verdicts = power_inequality_report(
+                a, b, x, n_max=args.n_max, tol=args.tol, interior=args.interior
+            )
+            parameters.update(n_max=args.n_max, interior=args.interior)
     return RunReport(command="verify", parameters=parameters, verdicts=verdicts)
-
-
-def _need_matrices(args, suite: str, *names: str):
-    paths = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"verify {suite} needs {flag}")
-        paths.append(value)
-    return tuple(read_matrix(p) for p in paths)
 
 
 def _cmd_sweep(args) -> RunReport:
@@ -340,7 +271,9 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each verify suite and factor kind takes only its flags."""
     parser = argparse.ArgumentParser(
         prog="commkit",
         description="Construct and verify commutator phenomena for positive matrices and operators.",
@@ -355,26 +288,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(handler=_cmd_construct_halmos)
 
     p_fac = sub.add_parser("factor", help="factor a positive matrix as a commutator")
-    p_fac.add_argument("kind", choices=["nilpotent", "tracezero"])
-    p_fac.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
-    p_fac.add_argument("--eps", type=float, default=None)
-    p_fac.add_argument("--tol", type=float, default=1e-9)
-    p_fac.add_argument("--out", required=True, help="output JSON path for the factor pair")
     p_fac.set_defaults(handler=_cmd_factor)
+    kinds = p_fac.add_subparsers(dest="kind", required=True)
+    p_nil = kinds.add_parser("nilpotent", help="C = AB - BA with BA <= eps C, for a nilpotent C")
+    p_nil.add_argument("--eps", type=float, required=True)
+    p_tz = kinds.add_parser("tracezero", help="C = AB - BA with A = diag(1..n)")
+    p_tz.set_defaults(eps=None)
+    for p_kind in (p_nil, p_tz):
+        p_kind.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
+        p_kind.add_argument("--tol", type=float, default=1e-9)
+        p_kind.add_argument("--out", required=True, help="output JSON path for the factor pair")
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.add_argument("suite", choices=["popa", "obstructions", "wielandt", "power"])
-    p_ver.add_argument("--norm-a", dest="norm_a", type=float, default=None)
-    p_ver.add_argument("--norm-b", dest="norm_b", type=float, default=None)
-    p_ver.add_argument("--eps", type=float, default=None)
-    p_ver.add_argument("--alpha", type=float, default=1.0)
-    p_ver.add_argument("--tol", type=float, default=1e-9)
-    p_ver.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p_ver.add_argument("--interior", type=int, default=None)
-    p_ver.add_argument("--input-a", dest="input_a", default=None)
-    p_ver.add_argument("--input-b", dest="input_b", default=None)
-    p_ver.add_argument("--input-x", dest="input_x", default=None)
     p_ver.set_defaults(handler=_cmd_verify)
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    p_popa = suites.add_parser("popa", help="closed-form norm product bound")
+    for flag in ("--norm-a", "--norm-b", "--eps"):
+        p_popa.add_argument(flag, type=float, required=True)
+    p_popa.add_argument("--alpha", type=float, default=1.0)
+    p_obs = suites.add_parser("obstructions", help="trace, spectral radius, idempotent checks")
+    p_wie = suites.add_parser("wielandt", help="a negative entry of [A,B] - I")
+    p_pow = suites.add_parser("power", help="entrywise power inequality for n = 1..n-max")
+    for p_suite, inputs in ((p_obs, "abx"), (p_wie, "ab"), (p_pow, "abx")):
+        for key in inputs:
+            p_suite.add_argument(f"--input-{key}", required=True, help="matrix file (JSON or CSV)")
+    for p_suite in (p_obs, p_pow):
+        p_suite.add_argument("--tol", type=float, default=1e-9)
+    p_pow.add_argument("--n-max", type=int, default=6)
+    p_pow.add_argument("--interior", type=int, default=None)
 
     p_sw = sub.add_parser("sweep", help="norm scaling table over an eps grid")
     p_sw.add_argument("--grid", required=True, help="comma-separated eps values in (0, 1]")
@@ -385,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
     except (ValueError, OSError, UnconvergedError, OverflowError) as exc:

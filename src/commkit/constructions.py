@@ -19,12 +19,7 @@ from .lazyops import (
     pair_swap,
     zero_op,
 )
-from .matrices import (
-    DynamicRangeError,
-    _square_inputs,
-    _topological_order,
-    matrix_to_json_dict,
-)
+from .matrices import DynamicRangeError, _square_inputs, _topological_order
 from .scalars import EpsScalar
 
 __all__ = [
@@ -66,9 +61,6 @@ class FactorPair:
 
     a: np.ndarray
     b: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {"A": matrix_to_json_dict(self.a), "B": matrix_to_json_dict(self.b)}
 
 
 # The nonzero blocks of the Halmos pair: operator -> (row, col) -> (coefficient,

@@ -7,6 +7,7 @@ evaluating at a numeric eps is the only lossy step.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 # Coefficients must stay within the signed 64-bit range.  Anything larger
@@ -137,10 +138,17 @@ class EpsScalar:
         return result
 
     def evaluate(self, eps: float) -> float:
-        """Evaluate at a numeric eps > 0 (the only lossy operation)."""
+        """Evaluate at a numeric eps > 0 (the only lossy operation); OverflowError
+        names the scalar and eps when a term or the sum leaves the double range."""
         if not eps > 0.0:
             raise ValueError("eps must be positive")
-        return float(sum(c * float(eps) ** p for p, c in self._terms.items()))
+        try:
+            value = float(sum(c * float(eps) ** p for p, c in self._terms.items()))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"{self!r} at eps={eps!r} is outside the double range")
+        return value
 
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)

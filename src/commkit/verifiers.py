@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
-from .constructions import HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
+from .constructions import FactorPair, HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
 from .lazyops import LazyOp, _residue_columns, compress
 from .matrices import (
     DynamicRangeError,
+    _gamma,
     _square_inputs,
     commutator,
     entrywise_leq,
@@ -32,6 +34,7 @@ __all__ = [
     "certified_halmos_popa_check",
     "delta_threshold",
     "exact_commutator_identity_check",
+    "factorization_checks",
     "finite_dim_obstructions",
     "nil_index_three_check",
     "popa_bound",
@@ -259,6 +262,59 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
         obstruction("obstruction-idempotent", idem_defect > tol or ident_defect <= tol, None,
                     idempotency_defect=idem_defect, identity_defect=ident_defect),
     ]
+
+
+def _scaled_tol(tol: float, *factors: float) -> float:
+    """tol times the factors, each at least 1, capped at the largest double.
+
+    A tolerance at the cap passes every finite margin, as the uncapped
+    product would, and keeps the report finite.  Capping each factor first
+    keeps 0 * inf out.
+    """
+    for factor in factors:
+        tol = min(tol * min(factor, sys.float_info.max), sys.float_info.max)
+    return tol
+
+
+def factorization_checks(
+    c, pair: FactorPair, tol: float = 1e-9, eps: float | None = None
+) -> list[Verdict]:
+    """Verdicts that pair factors C as AB - BA and, with eps, that BA <= eps C.
+
+    pair is nilpotent_commutator_factors(c, eps) when eps is given and
+    trace_zero_commutator_factors(c) otherwise; each tolerance is tol widened
+    by the rounding of that diagonal solve.  C is not copied.  Raises
+    ValueError for a tol that is not finite and nonnegative, or unequal shapes.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    c = np.asarray(c, dtype=float)
+    if not c.shape == pair.a.shape == pair.b.shape:
+        raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
+    c_max = max_abs(c)
+    if eps is None:
+        residual_tol = _scaled_tol(tol, c.shape[0], max(c_max, 1.0))
+    else:
+        # Each entry of AB - BA is d_i b_ij - b_ij d_j, with no sums, so it is off by a few
+        # ulps of c_ij (d_i + d_j) / |d_i - d_j|, and different ranks of the diagonal ratio
+        # r = (1 + eps) / eps give (d_i + d_j) / |d_i - d_j| <= (r + 1) / (r - 1) = 1 + 2 eps.
+        residual_tol = _scaled_tol(tol, 1.0 + c_max, 1.0 + 2.0 * eps)
+    residual = max_abs(pair.a @ pair.b - pair.b @ pair.a - c)
+    passed = residual <= residual_tol
+    witness = None if passed else {"residual": residual}
+    verdicts = [Verdict(passed, "reconstruction-residual", witness, residual_tol - residual,
+                        {"residual": residual, "tolerance": residual_tol})]
+    if eps is not None:
+        # On an arc i -> j, BA_ij = c_ij / (rho - 1) for the float ratio rho = d_i / d_j. At
+        # adjacent ranks rho is r = (1 + eps) / eps up to a few ulps, and BA_ij = eps c_ij at
+        # rho = r.  A relative error delta in rho moves 1 / (rho - 1) by (1 + eps) delta, and
+        # forming BA_ij and eps c_ij adds four roundings, so BA_ij can exceed eps c_ij by about
+        # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
+        rounding = tol + _gamma(8) * (1.0 + 2.0 * eps)
+        ba_tol = _scaled_tol(rounding, 1.0 + eps * c_max)
+        vd = entrywise_leq(pair.b @ pair.a, eps * c, ba_tol)
+        verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
+    return verdicts
 
 
 def _first_nonzero_column(op: LazyOp) -> tuple[int | None, dict]:

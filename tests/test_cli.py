@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 
 from commkit import cli, matrices
 from commkit.cli import main
-from commkit.constructions import FactorPair, halmos_pair_scaled, nilpotent_commutator_factors
+from commkit.constructions import (
+    FactorPair,
+    halmos_pair_scaled,
+    nilpotent_commutator_factors,
+    trace_zero_commutator_factors,
+)
 from commkit.lazyops import compress
 from commkit.matrices import matrix_from_json_dict, matrix_to_json_dict, read_matrix, write_matrix
+from commkit.verifiers import factorization_checks
 
 
 def run(*argv):
@@ -136,8 +142,9 @@ class TestFactor:
     def test_missing_eps_is_input_error(self, tmp_path, capsys):
         c = tmp_path / "c.json"
         write_matrix(c, np.zeros((2, 2)))
-        code = run("factor", "nilpotent", "--input", c, "--out", tmp_path / "o.json")
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            run("factor", "nilpotent", "--input", c, "--out", tmp_path / "o.json")
+        assert err.value.code == 2
         assert "--eps" in capsys.readouterr().err
 
     def test_unparseable_matrix_is_input_error(self, tmp_path):
@@ -194,6 +201,22 @@ class TestFactor:
         assert code == 1
         assert not verdicts["ba-below-eps-c"]["passed"]
 
+    @pytest.mark.parametrize("kind, eps", [("nilpotent", 0.5), ("tracezero", None)])
+    def test_verdicts_are_the_library_checks(self, tmp_path, capsys, kind, eps):
+        c = np.tril(np.random.default_rng(5).uniform(0.0, 1.0, (6, 6)), k=-1)
+        c_path = tmp_path / "c.json"
+        write_matrix(c_path, c)
+        flags = [] if eps is None else ["--eps", eps]
+        code = run("--json", "factor", kind, "--input", c_path, *flags, "--tol", 1e-7,
+                   "--out", tmp_path / "o.json")
+        assert code == 0
+        if eps is None:
+            pair = trace_zero_commutator_factors(c)
+        else:
+            pair = nilpotent_commutator_factors(c, eps)
+        expected = [vd.to_json_dict() for vd in factorization_checks(c, pair, 1e-7, eps)]
+        assert json.loads(capsys.readouterr().out)["verdicts"] == expected
+
     def test_written_matrices_round_trip(self, tmp_path):
         c_path = tmp_path / "c.json"
         rng = np.random.default_rng(3)
@@ -228,7 +251,9 @@ class TestVerify:
         assert captured.out == ""
 
     def test_popa_needs_flags(self, capsys):
-        assert run("verify", "popa", "--norm-a", 1) == 2
+        with pytest.raises(SystemExit) as err:
+            run("verify", "popa", "--norm-a", 1)
+        assert err.value.code == 2
         assert "--norm-b" in capsys.readouterr().err
 
     def test_obstructions_identity_instance(self, tmp_path):
@@ -281,7 +306,8 @@ class TestVerify:
         eye = tmp_path / "eye.json"
         write_matrix(big, np.full((2, 2), 1e200))
         write_matrix(eye, np.identity(2))
-        code = run("verify", suite, "--input-a", big, "--input-b", big, "--input-x", eye)
+        x = ["--input-x", eye] if suite == "power" else []
+        code = run("verify", suite, "--input-a", big, "--input-b", big, *x)
         assert code == 2
         assert "error: the commutator AB - BA overflows" in capsys.readouterr().err
 
@@ -403,6 +429,23 @@ class TestReportContract:
             run("verify", "unknown-suite")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "popa", "--norm-a", "1", "--norm-b", "1", "--eps", "0.5", "--tol", "1"],
+        ["verify", "popa", "--norm-a", "1", "--norm-b", "1", "--eps", "0.5", "--input-a", "{m}"],
+        ["verify", "wielandt", "--input-a", "{m}", "--input-b", "{m}", "--input-x", "{m}"],
+        ["verify", "power", "--input-a", "{m}", "--input-b", "{m}", "--input-x", "{m}",
+         "--alpha", "2"],
+        ["factor", "tracezero", "--input", "{m}", "--out", "{out}", "--eps", "1"],
+    ], ids=["popa-tol", "popa-input-a", "wielandt-input-x", "power-alpha", "tracezero-eps"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        m = tmp_path / "m.json"
+        write_matrix(m, np.zeros((2, 2)))
+        with pytest.raises(SystemExit) as err:
+            run(*(arg.format(m=m, out=tmp_path / "o.json") for arg in argv))
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_closed_stdout_keeps_the_verdict_exit_code(self, tmp_path):
         # A reader that stops early (`| head`) must not turn passing verdicts into exit 1.
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -417,6 +460,17 @@ class TestReportContract:
         assert proc.wait(timeout=120) == 0
         assert "Traceback" not in err and "BrokenPipeError" not in err
         assert (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-halmos", "--eps", "1e-110", "--window", "16"],
+    ["sweep", "--grid", "1e-110,0.5", "--window", "64"],
+], ids=["construct-halmos", "sweep"])
+def test_eps_whose_entries_overflow_is_input_error_naming_eps(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(*argv, "--out", out) == 2
+    assert "at eps=1e-110 is outside the double range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_huge_eps_is_input_error_naming_eps(tmp_path, capsys):
@@ -600,7 +654,7 @@ class TestMalformedMatrixInput:
     def test_verify_wielandt_and_power_never_raise(self, tmp_path, triple, suite):
         n, matrices = triple
         argv = ["verify", suite]
-        for name, data in zip("abx", matrices):
+        for name, data in zip("abx" if suite == "power" else "ab", matrices):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({"rows": n, "cols": n, "data": data}), encoding="utf-8")
             argv += [f"--input-{name}", str(path)]

@@ -253,13 +253,6 @@ class TestTraceZeroFactorization:
             trace_zero_commutator_factors([[0.0, -1.0], [1.0, 0.0]])
 
 
-def test_factor_pair_serializes_with_uppercase_keys():
-    pair = trace_zero_commutator_factors(np.zeros((2, 2)))
-    payload = pair.to_json_dict()
-    assert set(payload) == {"A", "B"}
-    assert payload["A"]["rows"] == 2
-
-
 def test_nilpotent_rejects_eps_whose_diagonal_collapses():
     # (1 + 1e17) / 1e17 rounds to 1, so every diagonal entry of A would be 1
     # and every divisor a_ii - a_jj zero.

@@ -55,6 +55,17 @@ def test_evaluate():
         s.evaluate(-0.5)
 
 
+@pytest.mark.parametrize("scalar, eps", [
+    (EpsScalar.monomial(3, -3), 1e-110),  # eps**-3 raises OverflowError
+    (EpsScalar.monomial(3, -3), 2.2e-103),  # eps**-3 is finite, 3 eps**-3 is inf
+    (EpsScalar.monomial(1, 400), 1e10),
+])
+def test_evaluate_out_of_range_names_the_scalar_and_eps(scalar, eps):
+    with pytest.raises(OverflowError) as err:
+        scalar.evaluate(eps)
+    assert str(err.value) == f"{scalar!r} at eps={eps!r} is outside the double range"
+
+
 def test_overflow_detected():
     big = EpsScalar.integer(2**62)
     with pytest.raises(CoefficientOverflow):

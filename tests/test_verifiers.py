@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commkit.constructions import HalmosPair, halmos_pair_scaled
+from commkit.constructions import (
+    FactorPair,
+    HalmosPair,
+    halmos_pair_scaled,
+    nilpotent_commutator_factors,
+    trace_zero_commutator_factors,
+)
 from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
@@ -17,6 +23,7 @@ from commkit.verifiers import (
     certified_halmos_popa_check,
     delta_threshold,
     exact_commutator_identity_check,
+    factorization_checks,
     finite_dim_obstructions,
     nil_index_three_check,
     popa_bound,
@@ -408,6 +415,52 @@ class TestResidueProof:
             assert nil_vd.passed
         else:
             assert nil_vd.witness == {"cube_column": g, "support": sorted(cube.apply(g))}
+
+
+class TestFactorizationChecks:
+    nilpotent_c = np.tril(np.random.default_rng(3).uniform(0.0, 1.0, (5, 5)), k=-1)
+
+    def test_nilpotent_factors_pass(self):
+        pair = nilpotent_commutator_factors(self.nilpotent_c, 0.5)
+        verdicts = factorization_checks(self.nilpotent_c, pair, eps=0.5)
+        assert [vd.claim for vd in verdicts] == ["reconstruction-residual", "ba-below-eps-c"]
+        assert all(vd.passed for vd in verdicts)
+
+    def test_trace_zero_factors_pass(self):
+        c = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [4.0, 5.0, 0.0]])
+        (vd,) = factorization_checks(c, trace_zero_commutator_factors(c))
+        assert vd.claim == "reconstruction-residual"
+        assert vd.passed
+
+    def test_b_scaled_up_fails_ba_below_eps_c(self):
+        c = np.array([[0.0, 1e5], [0.0, 0.0]])
+        pair = nilpotent_commutator_factors(c, 1000.0)
+        assert all(vd.passed for vd in factorization_checks(c, pair, eps=1000.0))
+        scaled = FactorPair(a=pair.a, b=pair.b * (1.0 + 1e-6))
+        ba = factorization_checks(c, scaled, eps=1000.0)[1]
+        assert ba.claim == "ba-below-eps-c"
+        assert not ba.passed
+        assert (ba.witness["row"], ba.witness["col"]) == (1, 2)
+
+    def test_ba_allows_for_rounding_at_tol_zero(self):
+        # BA_12 = c_12 / (d_1/d_2 - 1) exceeds eps c_12 = 1e8 by about 1.1e-5 here.
+        c = np.array([[0.0, 1e5], [0.0, 0.0]])
+        pair = nilpotent_commutator_factors(c, 1000.0)
+        verdicts = {vd.claim: vd for vd in factorization_checks(c, pair, tol=0.0, eps=1000.0)}
+        assert verdicts["ba-below-eps-c"].passed
+        assert verdicts["ba-below-eps-c"].margin < 0.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        # The trace-zero checks call no entrywise_leq, which would also reject it.
+        pair = trace_zero_commutator_factors(self.nilpotent_c)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            factorization_checks(self.nilpotent_c, pair, tol=tol)
+
+    def test_rejects_shapes_that_differ(self):
+        pair = trace_zero_commutator_factors(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="differ in shape"):
+            factorization_checks(np.zeros((1, 1)), pair)
 
 
 class TestToleranceValidation:
