@@ -184,7 +184,8 @@ def _cmd_verify(args) -> RunReport:
     else:  # obstructions or power; argparse restricts the choices
         _require_tol(args.tol)
         a, b, x = (read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
-        parameters.update(input_a=args.input_a, input_b=args.input_b, input_x=args.input_x)
+        parameters.update(input_a=args.input_a, input_b=args.input_b, input_x=args.input_x,
+                          tol=args.tol)
         if suite == "obstructions":
             verdicts = finite_dim_obstructions(a, b, x, tol=args.tol)
         else:

@@ -12,8 +12,10 @@ factors of the scaled family on the blocks of the grids it assembles.
 
 Basis indices are 1-based throughout.  A column is a dict from basis index
 to EpsScalar; absent keys are zero.  apply() is exact integer/EpsScalar
-arithmetic; a numeric eps enters only in compress(), which scatters a
-finite section from the residue-class columns described below.
+arithmetic; a numeric eps enters only in the finite sections, whose
+entries _section_entries lists from the residue-class columns described
+below: compress() scatters them into a dense array, and a norm certificate
+reads the list itself.
 
 The 4x4 block space interleaves the four summands: slot s in {1,2,3,4} with
 internal index n sits at global index 4*(n-1) + s, so every finite window
@@ -291,6 +293,8 @@ def block4(grid) -> LazyOp:
     return _Block4(rows)
 
 
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+
 # Largest residue modulus _residue_columns tries; each nested atom with div 2
 # can double the modulus a tree needs, and the halmos pairs need 8.
 _MAX_RESIDUE_MODULUS = 4096
@@ -332,13 +336,52 @@ def _coincidences(column: Column) -> set[int]:
     return hits
 
 
-def _put_column(out: np.ndarray, op: LazyOp, g: int, eps: float) -> None:
-    """Overwrite column g of the section ``out`` with op's concrete column g."""
-    m = out.shape[0]
-    out[:, g - 1] = 0.0
-    for i, value in op.apply(g).items():
-        if i <= m:
-            out[i - 1, g - 1] = value.evaluate(eps)
+def _section_entries(op: LazyOp, m: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, values) of the m x m section, 0-based.
+
+    Class r of modulus M lists the columns j = M*t + r, and each label
+    alpha*t + beta the rows alpha*t + beta, with its coefficient evaluated
+    once.  Columns where two labels coincide are evaluated concretely in
+    place of their labels.  A tree that needs a modulus of m or more has one
+    column per class, and its columns 1..m are evaluated concretely instead.
+    No position is listed twice and every position not listed is +0.0; a
+    coefficient that evaluates to zero stays listed, with its sign.
+    """
+    # Entry k of values is repeated counts[k] times: once per listed position of a label.
+    rows, cols, values, counts = [_NO_INDEX], [_NO_INDEX], [], []
+
+    def put_column(g: int) -> None:
+        col = {i - 1: value.evaluate(eps) for i, value in op.apply(g).items() if i <= m}
+        rows.append(np.fromiter(col, dtype=np.intp, count=len(col)))
+        cols.append(np.full(len(col), g - 1))
+        values.extend(col.values())
+        counts.extend([1] * len(col))
+
+    try:
+        modulus, classes = _residue_columns(op, min(m - 1, _MAX_RESIDUE_MODULUS))
+    except ValueError:
+        classes = []
+        for g in range(1, m + 1):
+            put_column(g)
+    for r, column in enumerate(classes, start=1):
+        class_cols = np.arange(r - 1, m, modulus)  # column M*t + r at position t
+        # Away from the coincidences the labels of a column name distinct rows.
+        hits = sorted(hit for hit in _coincidences(column) if hit < class_cols.size)
+        for label, value in column.items():
+            # Rows alpha*t + beta with beta >= 1 increase with t; count those <= m.
+            inside = min(class_cols.size, max((m - label.beta) // label.alpha + 1, 0))
+            label_rows = np.arange(label.beta - 1, label.beta - 1 + label.alpha * inside, label.alpha)
+            label_cols = class_cols[:inside]
+            if hits:
+                drop = [hit for hit in hits if hit < inside]
+                label_rows, label_cols = np.delete(label_rows, drop), np.delete(label_cols, drop)
+            rows.append(label_rows)
+            cols.append(label_cols)
+            values.append(value.evaluate(eps))
+            counts.append(label_rows.size)
+        for hit in hits:
+            put_column(modulus * hit + r)
+    return np.concatenate(rows), np.concatenate(cols), np.repeat(np.array(values, dtype=float), counts)
 
 
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
@@ -348,12 +391,9 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     basis vector i in the column at j, for i, j <= m.  Its spectral norm
     never exceeds the operator's.
 
-    The section is scattered from the residue classes of _residue_columns:
-    class r of modulus M fills the columns j = M*t + r, and each label
-    alpha*t + beta the rows alpha*t + beta, with its coefficient evaluated
-    once.  Columns where two labels coincide are evaluated concretely.  A
-    tree that needs a modulus of m or more has one column per class, and
-    its columns 1..m are evaluated concretely instead.
+    The section is the scatter of the entries _section_entries lists from
+    the residue classes of _residue_columns; a caller that needs only the
+    nonzero entries, such as a norm certificate, takes that list instead.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("window size must be a positive integer")
@@ -361,21 +401,7 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
         raise ValueError("eps must lie in (0, 1]")
     if not isinstance(op, LazyOp):
         raise TypeError("op must be a LazyOp")
+    rows, cols, values = _section_entries(op, m, eps)
     out = np.zeros((m, m))
-    try:
-        modulus, classes = _residue_columns(op, min(m - 1, _MAX_RESIDUE_MODULUS))
-    except ValueError:
-        for g in range(1, m + 1):
-            _put_column(out, op, g, eps)
-        return out
-    for r, column in enumerate(classes, start=1):
-        t = np.arange((m - r) // modulus + 1)
-        cols = modulus * t + (r - 1)
-        for label, value in column.items():
-            rows = label.alpha * t + (label.beta - 1)
-            inside = rows < m
-            out[rows[inside], cols[inside]] = value.evaluate(eps)
-        for hit in _coincidences(column):
-            if modulus * hit + r <= m:
-                _put_column(out, op, modulus * hit + r, eps)
+    out[rows, cols] = values
     return out

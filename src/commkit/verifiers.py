@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from .constructions import FactorPair, HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
-from .lazyops import LazyOp, _residue_columns, compress
+from .lazyops import LazyOp, _residue_columns, _section_entries
 from .matrices import (
     DynamicRangeError,
+    _entries_norm,
     _gamma,
     _square_inputs,
     commutator,
@@ -292,13 +293,21 @@ def factorization_checks(
     if not c.shape == pair.a.shape == pair.b.shape:
         raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
     c_max = max_abs(c)
+    # Each entry of AB - BA - C is d_i b_ij - b_ij d_j - c_ij, with no sums, for
+    # b_ij = c_ij / (d_i - d_j).  Rounding the gap and the quotient moves it by 2 u c_ij, the
+    # two products by u (d_i + d_j) |b_ij| = u spread c_ij with spread = (d_i + d_j) / |d_i - d_j|,
+    # and the two subtractions by u c_ij each, so away from underflow the computed residual is
+    # at most (3 + spread) u c_max plus terms in u**2, below gamma_4 (1 + spread) c_max.  For
+    # A = diag(1..n), spread <= 2n - 1; for the nilpotent diagonal, different ranks of the
+    # ratio r = (1 + eps) / eps give spread <= (r + 1) / (r - 1) = 1 + 2 eps.
     if eps is None:
+        spread = 2.0 * c.shape[0] - 1.0
         residual_tol = _scaled_tol(tol, c.shape[0], max(c_max, 1.0))
     else:
-        # Each entry of AB - BA is d_i b_ij - b_ij d_j, with no sums, so it is off by a few
-        # ulps of c_ij (d_i + d_j) / |d_i - d_j|, and different ranks of the diagonal ratio
-        # r = (1 + eps) / eps give (d_i + d_j) / |d_i - d_j| <= (r + 1) / (r - 1) = 1 + 2 eps.
-        residual_tol = _scaled_tol(tol, 1.0 + c_max, 1.0 + 2.0 * eps)
+        spread = 1.0 + 2.0 * eps
+        residual_tol = _scaled_tol(tol, 1.0 + c_max, spread)
+    rounding = _scaled_tol(_gamma(4) * c_max, 1.0 + spread)
+    residual_tol = min(residual_tol + rounding, sys.float_info.max)
     residual = max_abs(pair.a @ pair.b - pair.b @ pair.a - c)
     passed = residual <= residual_tol
     witness = None if passed else {"residual": residual}
@@ -400,9 +409,12 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
     )
 
 
-# Largest finite section the certified check builds.  Sections are still
-# dense w x w arrays: `sweep --grid 0.1,0.4 --window 4096` peaks at 192 MiB
-# resident (ru_maxrss of a child process, numpy 2.4 with OpenBLAS).
+# Largest finite section the certified check takes.  By default sections are
+# certified from their listed entries, about 1.5 per column, with no dense
+# w x w array: `sweep --grid 0.1,0.4 --window 4096` peaks at 33 MiB resident
+# (ru_maxrss of a child process, numpy 2.4 with OpenBLAS), of which importing
+# commkit takes 29 MiB; it peaked at 190 MiB with dense sections.  Sections a
+# caller passes in are still dense, 128 MiB each at the cap.
 MAX_WINDOW = 4096
 
 # Relative width of the section norm brackets: each lower bound lies within
@@ -436,16 +448,20 @@ def certified_halmos_popa_check(
 
     ``sections`` are the window x window sections of a, b and the
     nilpotent of halmos_pair_scaled() at eps, as compress builds them, for
-    a caller that keeps them; by default each is built, certified and
-    dropped in turn.  Raises ValueError for eps outside (0, 1] or a window
-    outside [16, MAX_WINDOW], before any section is built, and for
-    sections of the wrong number or shape.
+    a caller that keeps them.  By default each section is certified from
+    its listed entries (lazyops._section_entries) and no dense section is
+    built; the brackets are the same.  Raises ValueError for eps outside
+    (0, 1] or a window outside [16, MAX_WINDOW], before any section is
+    built, and for sections of the wrong number or shape.
     """
     _check_section_args(eps, window)
     if sections is None:
         pair = halmos_pair_scaled()
         ops = (pair.a, pair.b, pair.nilpotent)
-        lowers = [operator_norm(compress(op, window, eps), SECTION_REL_TOL).lower for op in ops]
+        lowers = [
+            _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
+            for op in ops
+        ]
     else:
         if len(sections) != 3 or any(np.shape(s) != (window, window) for s in sections):
             raise ValueError(f"sections must be three {window}x{window} matrices")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,14 @@ class TestFactor:
         assert run("factor", "tracezero", "--input", c, "--out", out) == 0
         b = matrix_from_json_dict(json.loads(out.read_text())["B"])
         assert b.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("kind", [["nilpotent", "--eps", 0.5], ["tracezero"]])
+    def test_correct_factors_pass_at_tol_zero(self, tmp_path, capsys, kind):
+        # The reconstruction residual is 1.1e-16 here, from rounding alone.
+        c = tmp_path / "c.json"
+        write_matrix(c, np.tril(np.random.default_rng(3).uniform(0.0, 1.0, (5, 5)), -1))
+        assert run("factor", *kind, "--input", c, "--tol", 0, "--out", tmp_path / "f.json") == 0
+        assert "PASS reconstruction-residual" in capsys.readouterr().out
 
     def test_cycle_is_input_error_with_cycle_message(self, tmp_path, capsys):
         c = tmp_path / "c.csv"
@@ -291,6 +300,14 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["obstructions", "power"])
+    def test_tol_is_a_report_parameter(self, tmp_path, capsys, suite):
+        zero = tmp_path / "zero.json"
+        write_matrix(zero, np.zeros((2, 2)))
+        files = ["--input-a", zero, "--input-b", zero, "--input-x", zero]
+        run("--json", "verify", suite, *files, "--tol", 1e-3)
+        assert json.loads(capsys.readouterr().out)["parameters"]["tol"] == 1e-3
+
     @pytest.mark.parametrize("n_max, code", [(1000, 0), (1001, 2), (100000, 2)])
     def test_n_max_is_bounded(self, tmp_path, capsys, n_max, code):
         zero = tmp_path / "zero.json"
@@ -338,6 +355,18 @@ class TestSweep:
         assert -4.0 < report["slopes"]["norm_a"] < -2.0
         on_disk = json.loads(out.read_text())
         assert on_disk["command"] == "sweep"
+
+    def test_largest_window_builds_no_dense_section(self, tmp_path, capsys):
+        # A dense 4096 x 4096 section alone would take 128 MiB.
+        tracemalloc.start()
+        try:
+            code = run("sweep", "--grid", "0.05,0.4", "--window", 4096, "--out", tmp_path / "s.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 32 * 2**20
+        assert "PASS certified-popa-eps-0.05" in capsys.readouterr().out
 
     def test_single_point_grid_notes_missing_slopes(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"

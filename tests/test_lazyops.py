@@ -12,6 +12,7 @@ from commkit.constructions import halmos_pair, halmos_pair_scaled
 from commkit.lazyops import (
     _Affine,
     _residue_columns,
+    _section_entries,
     block4,
     compress,
     even_isometry,
@@ -20,6 +21,7 @@ from commkit.lazyops import (
     pair_swap,
     zero_op,
 )
+from commkit.matrices import write_json
 from commkit.scalars import CoefficientOverflow, EpsScalar
 
 ONE = EpsScalar.one()
@@ -312,6 +314,26 @@ class TestCompress:
         for op in (pair.a, pair.b, pair.nilpotent):
             for eps in (0.05, 0.1, 0.4, 1.0):
                 assert np.array_equal(compress(op, m, eps), _column_loop(op, m, eps))
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_halmos_sections_write_the_column_loop_bytes(self, tmp_path, m):
+        # Equal written bytes also tell -0.0 from 0.0, which array_equal does not.
+        pair = halmos_pair_scaled()
+        got, expected = tmp_path / "got.json", tmp_path / "expected.json"
+        for op in (pair.a, pair.b, pair.nilpotent):
+            for eps in (0.05, 0.1, 0.2, 0.4, 1.0):
+                write_json(got, compress(op, m, eps))
+                write_json(expected, _column_loop(op, m, eps))
+                assert got.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("op", [I + V, I - V, W @ W, functools.reduce(operator.matmul, [VS] * 13)])
+    @pytest.mark.parametrize("m", [1, 9, 64])
+    def test_entries_list_each_position_once(self, op, m):
+        rows, cols, values = _section_entries(op, m, 1.0)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == cols.size == values.size
+        section = np.zeros((m, m))
+        section[rows, cols] = values
+        assert np.array_equal(section, _column_loop(op, m, 1.0))
 
     @pytest.mark.parametrize("sign, corner", [(1, 2.0), (-1, 0.0)])
     def test_coincident_labels_are_summed_exactly(self, sign, corner):

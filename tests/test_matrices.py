@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from commkit import matrices
 from commkit.constructions import halmos_nilpotent_majorant, halmos_pair_scaled
-from commkit.lazyops import compress
+from commkit.lazyops import _section_entries, compress
 from commkit.matrices import (
     UnconvergedError,
+    _boruvka_forest,
     _component_blocks,
     _dense_certificate,
+    _entries_norm,
     _json_text,
+    _labels,
     as_matrix,
     commutator,
     entrywise_leq,
@@ -295,13 +298,18 @@ class TestOperatorNormSvdOracle:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
     @pytest.mark.parametrize("name, components", [("a", 192), ("b", 256), ("nilpotent", 128)])
     def test_halmos_sections_window_512(self, name, components, eps):
-        section = compress(getattr(halmos_pair_scaled(), name), 512, eps)
+        op = getattr(halmos_pair_scaled(), name)
+        section = compress(op, 512, eps)
         cert = operator_norm(section)
         truth = np.linalg.svd(section, compute_uv=False)[0]
         slack = 32.0 * np.spacing(truth)
         assert cert.lower <= truth + slack and truth - slack <= cert.upper
         assert (cert.upper - cert.lower) / cert.upper <= 1e-10
         assert cert.components == components
+        # The sweep's certificate, from the listed entries, is the dense one, tags and all.
+        for window in (64, 512, 2048):
+            dense = cert if window == 512 else operator_norm(compress(op, window, eps))
+            assert _entries_norm((window, window), _section_entries(op, window, eps), 1e-10) == dense
 
     def test_b_section_window_2048_is_eps_cubed(self):
         # |b| = eps**-3 on the section; SVD overshoots it by 2e-15 relative.
@@ -311,6 +319,12 @@ class TestOperatorNormSvdOracle:
         assert cert.lower <= exact + slack and exact - slack <= cert.upper
         assert (cert.upper - cert.lower) / cert.upper <= 1e-10
         assert cert.components == 1024
+
+
+def _split(a):
+    """operator_norm's component labels of a's support."""
+    support = a != 0.0
+    return _labels(_boruvka_forest(support), support.any(axis=1), support.any(axis=0))
 
 
 def _permuted_block_diagonal(blocks, zero_rows, zero_cols, rng):
@@ -388,16 +402,70 @@ class TestOperatorNormComponents:
     def test_long_chain_is_one_component(self):
         # A bidiagonal support is one path through all 8192 rows and columns.
         chain = np.identity(4096) + np.diag(np.full(4095, 0.5), 1)
-        assert _component_blocks(chain, chain != 0.0)[0] == 1
+        assert _split(chain)[0] == 1
 
     def test_cut_chain_splits_in_two(self):
         rng = np.random.default_rng(8)
         chain = np.identity(512) + np.diag(np.full(511, 0.5), 1)
         chain[200, 201] = 0.0
         chain = chain[np.ix_(rng.permutation(512), rng.permutation(512))]
-        count, blocks = _component_blocks(chain, chain != 0.0)
+        count, row_label, col_label = _split(chain)
         assert count == 2
+        rows, cols = np.nonzero(chain)
+        blocks = _component_blocks(row_label, col_label, rows, cols, chain[rows, cols])
         assert sorted(b.shape for b in blocks) == [(201, 201), (311, 311)]
+
+
+def _entries(a):
+    """Every position of a as a listed entry, zeros included, in a shuffled order."""
+    rows, cols = np.indices(a.shape)
+    order = np.random.default_rng(a.size).permutation(a.size)
+    return rows.ravel()[order], cols.ravel()[order], a.ravel()[order]
+
+
+class TestEntriesNorm:
+    """operator_norm from listed entries against operator_norm of the scattered matrix."""
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(3, 4, 0.0, 0)  # the zero matrix
+    @example(12, 12, 0.15, 1)  # many small components
+    @example(6, 5, 1.0, 2)  # connected: certified whole, zero rows and columns included
+    def test_equals_the_dense_certificate(self, m, n, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n)) * (rng.random((m, n)) < density)
+        a[rng.random((m, n)) < 0.1] = -0.0  # listed zeros, with their sign, are no edges
+        a[rng.random((m, n)) < 0.1] = 0.0
+        rows, cols, values = _entries(a)
+        listed = rng.random(a.size) < 0.5  # any subset that holds every nonzero
+        listed |= values.view(np.int64) != 0
+        expected = operator_norm(a)
+        assert _entries_norm((m, n), (rows[listed], cols[listed], values[listed]), 1e-10) == expected
+
+    def test_permuted_block_diagonal_with_repeats(self):
+        rng = np.random.default_rng(11)
+        blocks = [rng.uniform(0.5, 2.0, (p, q)) for p, q in [(1, 1), (2, 3), (3, 2), (1, 4)]]
+        a = _permuted_block_diagonal(blocks + blocks[:2], 3, 1, rng)
+        cert = _entries_norm(a.shape, _entries(a), 1e-10)
+        assert cert == operator_norm(a)
+        assert cert.components == 6
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            _entries_norm((2, 2), (np.array([0]), np.array([1]), np.array([math.inf])), 1e-10)
+
+    def test_unconverged_carries_the_bracket(self):
+        a = _permuted_block_diagonal(
+            [np.random.default_rng(3).standard_normal((6, 6)), np.identity(2)], 0, 0,
+            np.random.default_rng(4),
+        )
+        with pytest.raises(UnconvergedError) as err:
+            _entries_norm(a.shape, _entries(a), 1e-17)
+        with pytest.raises(UnconvergedError) as dense:
+            operator_norm(a, rel_tol=1e-17)
+        assert err.value.data == dense.value.data
 
 
 class TestNilpotencyIndex:

@@ -450,6 +450,21 @@ class TestFactorizationChecks:
         assert verdicts["ba-below-eps-c"].passed
         assert verdicts["ba-below-eps-c"].margin < 0.0
 
+    @pytest.mark.parametrize("eps", [0.5, None])
+    def test_residual_allows_for_rounding_at_tol_zero(self, eps):
+        c = self.nilpotent_c
+        pair = nilpotent_commutator_factors(c, eps) if eps else trace_zero_commutator_factors(c)
+        residual = factorization_checks(c, pair, tol=0.0, eps=eps)[0]
+        assert residual.claim == "reconstruction-residual"
+        assert residual.passed and residual.inputs["residual"] > 0.0
+        # A C that differs from AB - BA by twice the allowance fails.
+        off = c.copy()
+        off[4, 0] += 2.0 * residual.inputs["tolerance"]
+        assert max(off.max(), 1.0) == max(c.max(), 1.0)  # the allowance scales with max C
+        above = factorization_checks(off, pair, tol=0.0, eps=eps)[0]
+        assert not above.passed
+        assert above.witness["residual"] > above.inputs["tolerance"]
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_bad_tol(self, tol):
         # The trace-zero checks call no entrywise_leq, which would also reject it.
