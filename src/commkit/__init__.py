@@ -10,15 +10,10 @@ from .matrices import (
     entrywise_leq,
     identity,
     matrix_from_json_dict,
-    matrix_to_json_dict,
     max_abs,
-    nilpotency_index,
     operator_norm,
-    permutation_triangularization,
     read_matrix,
-    trace,
     write_json,
-    write_matrix,
 )
 from .scalars import CoefficientOverflow, EpsScalar
 from .lazyops import (
@@ -38,7 +33,6 @@ from .constructions import (
     halmos_pair,
     halmos_pair_scaled,
     nilpotent_commutator_factors,
-    self_commutator_isometry,
     trace_zero_commutator_factors,
 )
 from .verdict import Verdict
@@ -83,23 +77,17 @@ __all__ = [
     "identity",
     "identity_op",
     "matrix_from_json_dict",
-    "matrix_to_json_dict",
     "max_abs",
     "nil_index_three_check",
-    "nilpotency_index",
     "nilpotent_commutator_factors",
     "odd_isometry",
     "operator_norm",
     "pair_swap",
-    "permutation_triangularization",
     "popa_bound",
     "power_inequality_report",
     "read_matrix",
-    "self_commutator_isometry",
-    "trace",
     "trace_zero_commutator_factors",
     "wielandt_violation_witness",
     "write_json",
-    "write_matrix",
     "zero_op",
 ]

@@ -113,7 +113,7 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _norm_row(eps: float, window: int, sections=None) -> tuple[dict[str, Any], Verdict | None]:
+def _norm_row(eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
     """Table row and verdict of the certified popa check at one grid point.
 
     An unconverged norm marks the row instead of aborting the run; its
@@ -121,7 +121,7 @@ def _norm_row(eps: float, window: int, sections=None) -> tuple[dict[str, Any], V
     """
     row: dict[str, Any] = {"eps": eps, "window": window, "converged": True}
     try:
-        vd = certified_halmos_popa_check(eps, window, sections=sections)
+        vd = certified_halmos_popa_check(eps, window)
     except UnconvergedError as exc:
         row["converged"] = False
         row["error"] = str(exc)
@@ -138,7 +138,7 @@ def _cmd_construct_halmos(args) -> RunReport:
         raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {args.window}")
     pair = halmos_pair_scaled()
     a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
-    row, _ = _norm_row(eps, args.window, (a, b, n))
+    row, _ = _norm_row(eps, args.window)
     verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
     write_json(args.out, {"eps": eps, "window": args.window, "A": a, "B": b, "N": n})
     return RunReport(

@@ -29,7 +29,6 @@ __all__ = [
     "halmos_pair",
     "halmos_pair_scaled",
     "nilpotent_commutator_factors",
-    "self_commutator_isometry",
     "trace_zero_commutator_factors",
 ]
 
@@ -128,17 +127,6 @@ def halmos_nilpotent_majorant(eps: float) -> np.ndarray:
     for (i, j), (coeff, _) in _BLOCKS["nilpotent"].items():
         out[i - 1, j - 1] = abs(coeff) * eps ** (j - i)
     return out
-
-
-def self_commutator_isometry() -> tuple[LazyOp, LazyOp]:
-    """A positive isometry whose self-commutator is a projection.
-
-    Returns (t, c) with c = t*t - tt*, the diagonal projection onto the
-    odd-indexed basis vectors (diagonal 1, 0, 1, 0, ...).
-    """
-    t = even_isometry()
-    ts = t.adjoint()
-    return t, ts @ t - t @ ts
 
 
 def _support_cycle(support: np.ndarray, order: list[int]) -> list[int]:

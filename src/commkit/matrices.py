@@ -27,15 +27,10 @@ __all__ = [
     "entrywise_leq",
     "identity",
     "matrix_from_json_dict",
-    "matrix_to_json_dict",
     "max_abs",
-    "nilpotency_index",
     "operator_norm",
-    "permutation_triangularization",
     "read_matrix",
-    "trace",
     "write_json",
-    "write_matrix",
 ]
 
 
@@ -99,11 +94,6 @@ def commutator(a, b) -> np.ndarray:
     """AB - BA for square matrices of equal size."""
     a, b = _square_inputs(a, b)
     return a @ b - b @ a
-
-
-def trace(a) -> float:
-    (a,) = _square_inputs(a)
-    return float(np.trace(a))
 
 
 def max_abs(a) -> float:
@@ -439,26 +429,6 @@ def _component_blocks(
     return blocks
 
 
-def nilpotency_index(a, tol: float | None = None) -> int | None:
-    """Smallest k <= n with |A^k|_max below threshold, or None.
-
-    With tol=None the threshold at power k is 1e-9 * (1 + |A|_max)^k,
-    scaling with the worst-case growth of the products; an explicit tol is
-    used as a flat threshold.  A power that is exactly zero always counts.
-    """
-    (a,) = _square_inputs(a)
-    n = a.shape[0]
-    scale = 1.0 + float(np.abs(a).max())
-    power = np.identity(n)
-    for k in range(1, n + 1):
-        power = power @ a
-        threshold = tol if tol is not None else 1e-9 * scale**k
-        entry_max = float(np.abs(power).max()) if np.isfinite(power).all() else math.inf
-        if entry_max == 0.0 or (math.isfinite(threshold) and entry_max <= threshold):
-            return k
-    return None
-
-
 def _topological_order(support: np.ndarray) -> list[int]:
     """Kahn's topological sort of the digraph with an arc i -> j wherever
     support[i, j], ties broken on the lowest index.  Indices on a cycle, or
@@ -474,22 +444,6 @@ def _topological_order(support: np.ndarray) -> list[int]:
             if indegree[j] == 0:
                 heapq.heappush(ready, int(j))
     return order
-
-
-def permutation_triangularization(c) -> np.ndarray | None:
-    """Order the indices of a nonnegative matrix so it becomes strictly upper.
-
-    Returns perm such that c[perm][:, perm] is strictly upper-triangular,
-    found by topological sort of the support digraph (an arc i -> j for
-    every entry c[i, j] > 0, meaning i must precede j).  Returns None iff
-    the digraph has a cycle, i.e. iff c is not nilpotent.  Ties break on the
-    lowest original index for deterministic output.
-    """
-    (c,) = _square_inputs(c)
-    if float(c.min()) < 0.0:
-        raise ValueError("entries must be nonnegative")
-    order = _topological_order(c > 0.0)
-    return np.array(order) if len(order) == c.shape[0] else None
 
 
 # -- file formats -----------------------------------------------------------
@@ -509,11 +463,6 @@ def permutation_triangularization(c) -> np.ndarray | None:
 MAX_MATRIX_BYTES = 1 << 25
 
 
-def matrix_to_json_dict(a) -> dict:
-    a = as_matrix(a)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
-
-
 # Entries encoded at a time, so that at most this many float reprs are alive
 # at once: a dense 400 x 400 matrix in one piece held 160,000 of them, about
 # 10 MB more than json.dumps needs.
@@ -521,7 +470,7 @@ _ENCODE_BLOCK = 1 << 14
 
 
 def _json_text(obj) -> str:
-    """json.dumps(obj) with each ndarray in obj written as matrix_to_json_dict of it.
+    """json.dumps(obj) with each ndarray in obj written as {"rows", "cols", "data"}.
 
     obj is a matrix, or a dict with str keys whose values are matrices, such
     dicts, or anything json.dumps takes.  The text is byte-identical to
@@ -635,7 +584,3 @@ def _read_text(path) -> str:
     if len(raw) > MAX_MATRIX_BYTES:
         raise ValueError(f"{path} is larger than {MAX_MATRIX_BYTES} bytes")
     return raw.decode("utf-8")
-
-
-def write_matrix(path, a) -> None:
-    write_json(path, as_matrix(a))

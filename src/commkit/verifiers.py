@@ -299,7 +299,11 @@ def factorization_checks(
     # and the two subtractions by u c_ij each, so away from underflow the computed residual is
     # at most (3 + spread) u c_max plus terms in u**2, below gamma_4 (1 + spread) c_max.  For
     # A = diag(1..n), spread <= 2n - 1; for the nilpotent diagonal, different ranks of the
-    # ratio r = (1 + eps) / eps give spread <= (r + 1) / (r - 1) = 1 + 2 eps.
+    # ratio r = (1 + eps) / eps give spread <= (r + 1) / (r - 1) = 1 + 2 eps.  Underflow adds
+    # absolute errors: b_ij can lose up to 2**-1075, which the reconstruction multiplies by
+    # |d_i - d_j| <= max A, and each of the two products can lose 2**-1075 more; sums and
+    # differences lose nothing to underflow.  That is at most 2**-1075 (max A + 2), and
+    # ldexp(fl(max A + 2), -1074) stays above it after its own two roundings.
     if eps is None:
         spread = 2.0 * c.shape[0] - 1.0
         residual_tol = _scaled_tol(tol, c.shape[0], max(c_max, 1.0))
@@ -307,7 +311,8 @@ def factorization_checks(
         spread = 1.0 + 2.0 * eps
         residual_tol = _scaled_tol(tol, 1.0 + c_max, spread)
     rounding = _scaled_tol(_gamma(4) * c_max, 1.0 + spread)
-    residual_tol = min(residual_tol + rounding, sys.float_info.max)
+    underflow = math.ldexp(max_abs(pair.a) + 2.0, -1074)
+    residual_tol = min(residual_tol + rounding + underflow, sys.float_info.max)
     residual = max_abs(pair.a @ pair.b - pair.b @ pair.a - c)
     passed = residual <= residual_tol
     witness = None if passed else {"residual": residual}
@@ -409,12 +414,11 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
     )
 
 
-# Largest finite section the certified check takes.  By default sections are
-# certified from their listed entries, about 1.5 per column, with no dense
-# w x w array: `sweep --grid 0.1,0.4 --window 4096` peaks at 33 MiB resident
-# (ru_maxrss of a child process, numpy 2.4 with OpenBLAS), of which importing
-# commkit takes 29 MiB; it peaked at 190 MiB with dense sections.  Sections a
-# caller passes in are still dense, 128 MiB each at the cap.
+# Largest finite section the certified check takes.  Sections are certified
+# from their listed entries, about 1.5 per column, with no dense w x w array:
+# `sweep --grid 0.1,0.4 --window 4096` peaks at 33 MiB resident (ru_maxrss of
+# a child process, numpy 2.4 with OpenBLAS), of which importing commkit takes
+# 29 MiB; it peaked at 190 MiB with dense sections.
 MAX_WINDOW = 4096
 
 # Relative width of the section norm brackets: each lower bound lies within
@@ -431,11 +435,7 @@ def _check_section_args(eps: float, window: int) -> None:
         raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
 
 
-def certified_halmos_popa_check(
-    eps: float,
-    window: int = 512,
-    sections: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> Verdict:
+def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
     """One-sided certified check of the norm lower bound on the scaled pair.
 
     Computes certified lower bounds L_a <= |a|, L_b <= |b| from finite
@@ -446,27 +446,17 @@ def certified_halmos_popa_check(
     bound; a certified violation would indicate an implementation bug.
     The inputs also report the section lower bound L_n <= |nilpotent|.
 
-    ``sections`` are the window x window sections of a, b and the
-    nilpotent of halmos_pair_scaled() at eps, as compress builds them, for
-    a caller that keeps them.  By default each section is certified from
-    its listed entries (lazyops._section_entries) and no dense section is
-    built; the brackets are the same.  Raises ValueError for eps outside
-    (0, 1] or a window outside [16, MAX_WINDOW], before any section is
-    built, and for sections of the wrong number or shape.
+    Each window x window section of halmos_pair_scaled() at eps is certified
+    from its listed entries (lazyops._section_entries), and no dense section
+    is built.  Raises ValueError for eps outside (0, 1] or a window outside
+    [16, MAX_WINDOW], before any section is built.
     """
     _check_section_args(eps, window)
-    if sections is None:
-        pair = halmos_pair_scaled()
-        ops = (pair.a, pair.b, pair.nilpotent)
-        lowers = [
-            _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
-            for op in ops
-        ]
-    else:
-        if len(sections) != 3 or any(np.shape(s) != (window, window) for s in sections):
-            raise ValueError(f"sections must be three {window}x{window} matrices")
-        lowers = [operator_norm(s, SECTION_REL_TOL).lower for s in sections]
-    lower_a, lower_b, lower_n = lowers
+    pair = halmos_pair_scaled()
+    lower_a, lower_b, lower_n = (
+        _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
+        for op in (pair.a, pair.b, pair.nilpotent)
+    )
     upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
     vd = popa_bound(lower_a, lower_b, upper_n)
     return dataclasses.replace(

@@ -22,8 +22,9 @@ from commkit.constructions import (
     trace_zero_commutator_factors,
 )
 from commkit.lazyops import compress
-from commkit.matrices import matrix_from_json_dict, matrix_to_json_dict, read_matrix, write_matrix
+from commkit.matrices import matrix_from_json_dict, read_matrix, write_json
 from commkit.verifiers import factorization_checks
+from oracles import matrix_to_json_dict
 
 
 def run(*argv):
@@ -52,6 +53,19 @@ class TestConstructHalmos:
                      for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))}
         expected = json.dumps({"eps": 0.4, "window": 64, **sections})
         assert out.read_text(encoding="utf-8") == expected
+
+    def test_table_row_is_the_sweep_row(self, tmp_path, capsys):
+        # Both commands certify their norms through one call of the library.
+        out = tmp_path / "h.json"
+        assert run("--json", "construct-halmos", "--eps", 0.2, "--window", 128, "--out", out) == 0
+        (halmos,) = json.loads(capsys.readouterr().out)["tables"]
+        out = tmp_path / "s.json"
+        assert run("--json", "sweep", "--grid", "0.2,0.4", "--window", 128, "--out", out) == 0
+        sweep = json.loads(capsys.readouterr().out)["tables"][0]
+        assert (sweep["eps"], sweep["window"]) == (halmos["eps"], halmos["window"]) == (0.2, 128)
+        for key in ("norm_a_lower", "norm_b_lower", "norm_n_lower", "norm_n_upper", "bound",
+                    "margin"):
+            assert halmos[key] == sweep[key], key
 
     def test_eps_one_window_64(self, tmp_path):
         out = tmp_path / "h.json"
@@ -99,7 +113,7 @@ class TestConstructHalmos:
 class TestFactor:
     def test_nilpotent_example(self, tmp_path, capsys):
         c = tmp_path / "c.json"
-        write_matrix(c, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        write_json(c, np.array([[0.0, 0.0], [1.0, 0.0]]))
         out = tmp_path / "factors.json"
         code = run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", out)
         assert code == 0
@@ -122,7 +136,7 @@ class TestFactor:
     def test_correct_factors_pass_at_tol_zero(self, tmp_path, capsys, kind):
         # The reconstruction residual is 1.1e-16 here, from rounding alone.
         c = tmp_path / "c.json"
-        write_matrix(c, np.tril(np.random.default_rng(3).uniform(0.0, 1.0, (5, 5)), -1))
+        write_json(c, np.tril(np.random.default_rng(3).uniform(0.0, 1.0, (5, 5)), -1))
         assert run("factor", *kind, "--input", c, "--tol", 0, "--out", tmp_path / "f.json") == 0
         assert "PASS reconstruction-residual" in capsys.readouterr().out
 
@@ -150,7 +164,7 @@ class TestFactor:
 
     def test_missing_eps_is_input_error(self, tmp_path, capsys):
         c = tmp_path / "c.json"
-        write_matrix(c, np.zeros((2, 2)))
+        write_json(c, np.zeros((2, 2)))
         with pytest.raises(SystemExit) as err:
             run("factor", "nilpotent", "--input", c, "--out", tmp_path / "o.json")
         assert err.value.code == 2
@@ -166,7 +180,7 @@ class TestFactor:
         # A 60-chain puts 2**59 on the diagonal at eps = 1; the residual of
         # AB - BA stays at rounding level, so its tolerance must too.
         c = tmp_path / "chain.json"
-        write_matrix(c, np.diag(np.ones(59), -1))
+        write_json(c, np.diag(np.ones(59), -1))
         code = run("--json", "factor", "nilpotent", "--input", c, "--eps", 1,
                    "--out", tmp_path / "o.json")
         assert code == 0
@@ -214,7 +228,7 @@ class TestFactor:
     def test_verdicts_are_the_library_checks(self, tmp_path, capsys, kind, eps):
         c = np.tril(np.random.default_rng(5).uniform(0.0, 1.0, (6, 6)), k=-1)
         c_path = tmp_path / "c.json"
-        write_matrix(c_path, c)
+        write_json(c_path, c)
         flags = [] if eps is None else ["--eps", eps]
         code = run("--json", "factor", kind, "--input", c_path, *flags, "--tol", 1e-7,
                    "--out", tmp_path / "o.json")
@@ -230,14 +244,14 @@ class TestFactor:
         c_path = tmp_path / "c.json"
         rng = np.random.default_rng(3)
         c = np.tril(rng.uniform(0.0, 1.0, (5, 5)), k=-1)
-        write_matrix(c_path, c)
+        write_json(c_path, c)
         out = tmp_path / "factors.json"
         assert run("factor", "nilpotent", "--input", c_path, "--eps", 0.5, "--out", out) == 0
         payload = json.loads(out.read_text())
         for key in ("A", "B"):
             m = matrix_from_json_dict(payload[key])
             back = tmp_path / f"{key}.json"
-            write_matrix(back, m)
+            write_json(back, m)
             assert np.array_equal(read_matrix(back), m)
 
 
@@ -268,8 +282,8 @@ class TestVerify:
     def test_obstructions_identity_instance(self, tmp_path):
         zero = tmp_path / "zero.json"
         eye = tmp_path / "eye.json"
-        write_matrix(zero, np.zeros((3, 3)))
-        write_matrix(eye, np.identity(3))
+        write_json(zero, np.zeros((3, 3)))
+        write_json(eye, np.identity(3))
         code = run(
             "verify", "obstructions",
             "--input-a", zero, "--input-b", zero, "--input-x", eye,
@@ -279,8 +293,8 @@ class TestVerify:
     def test_wielandt_witness_expected(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        write_matrix(a, np.diag([1.0, 2.0]))
-        write_matrix(b, np.random.default_rng(0).standard_normal((2, 2)))
+        write_json(a, np.diag([1.0, 2.0]))
+        write_json(b, np.random.default_rng(0).standard_normal((2, 2)))
         assert run("verify", "wielandt", "--input-a", a, "--input-b", b) == 0
         assert "PASS wielandt-domination-refuted" in capsys.readouterr().out
 
@@ -292,7 +306,7 @@ class TestVerify:
         paths = {}
         for name, m in (("a", a_mat), ("b", b_mat), ("x", x_mat)):
             paths[name] = tmp_path / f"{name}.json"
-            write_matrix(paths[name], m)
+            write_json(paths[name], m)
         code = run(
             "verify", "power",
             "--input-a", paths["a"], "--input-b", paths["b"], "--input-x", paths["x"],
@@ -303,7 +317,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["obstructions", "power"])
     def test_tol_is_a_report_parameter(self, tmp_path, capsys, suite):
         zero = tmp_path / "zero.json"
-        write_matrix(zero, np.zeros((2, 2)))
+        write_json(zero, np.zeros((2, 2)))
         files = ["--input-a", zero, "--input-b", zero, "--input-x", zero]
         run("--json", "verify", suite, *files, "--tol", 1e-3)
         assert json.loads(capsys.readouterr().out)["parameters"]["tol"] == 1e-3
@@ -311,7 +325,7 @@ class TestVerify:
     @pytest.mark.parametrize("n_max, code", [(1000, 0), (1001, 2), (100000, 2)])
     def test_n_max_is_bounded(self, tmp_path, capsys, n_max, code):
         zero = tmp_path / "zero.json"
-        write_matrix(zero, np.zeros((2, 2)))
+        write_json(zero, np.zeros((2, 2)))
         files = ["--input-a", zero, "--input-b", zero, "--input-x", zero]
         assert run("verify", "power", *files, "--n-max", n_max, "--tol", 1.0) == code
         if code == 2:
@@ -321,8 +335,8 @@ class TestVerify:
     def test_overflow_is_input_error(self, tmp_path, capsys, suite):
         big = tmp_path / "big.json"
         eye = tmp_path / "eye.json"
-        write_matrix(big, np.full((2, 2), 1e200))
-        write_matrix(eye, np.identity(2))
+        write_json(big, np.full((2, 2), 1e200))
+        write_json(eye, np.identity(2))
         x = ["--input-x", eye] if suite == "power" else []
         code = run("verify", suite, "--input-a", big, "--input-b", big, *x)
         assert code == 2
@@ -468,7 +482,7 @@ class TestReportContract:
     ], ids=["popa-tol", "popa-input-a", "wielandt-input-x", "power-alpha", "tracezero-eps"])
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
         m = tmp_path / "m.json"
-        write_matrix(m, np.zeros((2, 2)))
+        write_json(m, np.zeros((2, 2)))
         with pytest.raises(SystemExit) as err:
             run(*(arg.format(m=m, out=tmp_path / "o.json") for arg in argv))
         assert err.value.code == 2
@@ -504,7 +518,7 @@ def test_eps_whose_entries_overflow_is_input_error_naming_eps(tmp_path, capsys, 
 
 def test_huge_eps_is_input_error_naming_eps(tmp_path, capsys):
     c = tmp_path / "c.json"
-    write_matrix(c, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    write_json(c, np.array([[0.0, 0.0], [1.0, 0.0]]))
     code = run("factor", "nilpotent", "--input", c, "--eps", 1e17, "--out", tmp_path / "o.json")
     assert code == 2
     assert "error: eps=1e+17 is too large" in capsys.readouterr().err
@@ -599,7 +613,7 @@ class TestMalformedMatrixInput:
     ], ids=["factor", "verify"])
     def test_oversized_file_is_input_error(self, tmp_path, capsys, monkeypatch, argv):
         a = tmp_path / "a.json"
-        write_matrix(a, np.zeros((2, 2)))
+        write_json(a, np.zeros((2, 2)))
         limit = a.stat().st_size - 1
         monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", limit)
         assert run(*(arg.format(a=a, out=tmp_path / "o.json") for arg in argv)) == 2

@@ -8,18 +8,17 @@ from commkit.constructions import (
     halmos_pair,
     halmos_pair_scaled,
     nilpotent_commutator_factors,
-    self_commutator_isometry,
     trace_zero_commutator_factors,
 )
-from commkit.lazyops import compress
+from commkit.lazyops import compress, even_isometry
 from commkit.matrices import (
     DynamicRangeError,
     entrywise_leq,
     max_abs,
-    nilpotency_index,
     operator_norm,
 )
 from commkit.scalars import EpsScalar
+from oracles import nilpotency_index
 
 
 def _all_coefficients_nonneg(op, depth):
@@ -101,6 +100,13 @@ class TestHalmosPair:
         for eps in (0.1, 0.4):
             lower = operator_norm(compress(pair.nilpotent, 128, eps), rel_tol=1e-8).lower
             assert 1.0 <= lower / eps <= 10.0
+
+
+def self_commutator_isometry():
+    """(t, t*t - tt*) for the even isometry t: the projection onto the odd basis vectors."""
+    t = even_isometry()
+    ts = t.adjoint()
+    return t, ts @ t - t @ ts
 
 
 class TestSelfCommutatorIsometry:

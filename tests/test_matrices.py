@@ -9,7 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from commkit import matrices
-from commkit.constructions import halmos_nilpotent_majorant, halmos_pair_scaled
+from commkit.constructions import (
+    halmos_nilpotent_majorant,
+    halmos_pair_scaled,
+    nilpotent_commutator_factors,
+)
 from commkit.lazyops import _section_entries, compress
 from commkit.matrices import (
     UnconvergedError,
@@ -24,14 +28,11 @@ from commkit.matrices import (
     entrywise_leq,
     identity,
     matrix_from_json_dict,
-    matrix_to_json_dict,
-    nilpotency_index,
     operator_norm,
-    permutation_triangularization,
     read_matrix,
-    trace,
-    write_matrix,
+    write_json,
 )
+from oracles import matrix_to_json_dict, nilpotency_index
 
 
 # -- independent oracle: exact spectral norm for sizes <= 4 ------------------
@@ -101,19 +102,12 @@ class TestIdentityTrace:
         assert identity(2).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_identity_trace(self):
-        assert trace(identity(3)) == 3.0
-        assert trace(identity(4)) == 4.0
-
-    def test_trace_off_diagonal(self):
-        assert trace([[0.0, 1.0], [1.0, 0.0]]) == 0.0
+        assert np.trace(identity(3)) == 3.0
+        assert np.trace(identity(4)) == 4.0
 
     def test_identity_rejects_bad_size(self):
         with pytest.raises(ValueError):
             identity(0)
-
-    def test_trace_rejects_rectangular(self):
-        with pytest.raises(ValueError):
-            trace(np.ones((2, 3)))
 
 
 class TestCommutator:
@@ -132,7 +126,7 @@ class TestCommutator:
             a = rng.standard_normal((5, 5))
             b = rng.standard_normal((5, 5))
             bound = 1e-9 * np.abs(a).max() * np.abs(b).max() * 5
-            assert abs(trace(commutator(a, b))) <= max(bound, 1e-12)
+            assert abs(np.trace(commutator(a, b))) <= max(bound, 1e-12)
 
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
@@ -491,37 +485,48 @@ def random_nonneg_nilpotent(rng, n, density=0.4):
     return m[np.ix_(perm, perm)]
 
 
+def _factor_diagonal(c) -> list[float]:
+    return np.diag(nilpotent_commutator_factors(c, 1.0).a).tolist()
+
+
 class TestPermutationTriangularization:
+    """The topological order of the support, seen through nilpotent_commutator_factors.
+
+    Sorting the indices by decreasing diagonal of A makes C strictly upper, so
+    the diagonal must fall along every arc i -> j of C, and the factorization
+    must refuse exactly the inputs that no permutation triangularizes.
+    """
+
     def test_already_upper(self):
-        perm = permutation_triangularization([[0.0, 1.0], [0.0, 0.0]])
-        assert perm.tolist() == [0, 1]
+        assert _factor_diagonal([[0.0, 1.0], [0.0, 0.0]]) == [2.0, 1.0]
 
     def test_lower_becomes_swap(self):
-        perm = permutation_triangularization([[0.0, 0.0], [1.0, 0.0]])
-        assert perm.tolist() == [1, 0]
+        assert _factor_diagonal([[0.0, 0.0], [1.0, 0.0]]) == [1.0, 2.0]
 
     def test_cycle_returns_none(self):
-        assert permutation_triangularization([[0.0, 1.0], [1.0, 0.0]]) is None
+        with pytest.raises(ValueError, match="not nilpotent"):
+            _factor_diagonal([[0.0, 1.0], [1.0, 0.0]])
 
     def test_self_loop_returns_none(self):
-        assert permutation_triangularization([[0.5]]) is None
+        with pytest.raises(ValueError, match="not nilpotent"):
+            _factor_diagonal([[0.5]])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            permutation_triangularization([[0.0, -1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            _factor_diagonal([[0.0, -1.0], [0.0, 0.0]])
 
     def test_result_is_strictly_upper(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             c = random_nonneg_nilpotent(rng, int(rng.integers(2, 20)))
-            perm = permutation_triangularization(c)
-            assert perm is not None
-            reordered = c[np.ix_(perm, perm)]
-            assert np.all(np.tril(reordered) == 0.0)
+            d = np.array(_factor_diagonal(c))
+            rows, cols = np.nonzero(c)
+            assert np.all(d[rows] > d[cols])
 
     def test_cross_oracle_with_nilpotency_index(self):
         # triangularizability and nilpotency must agree on nonnegative input
         rng = np.random.default_rng(29)
+        cycles = 0
         for _ in range(60):
             n = int(rng.integers(2, 15))
             c = random_nonneg_nilpotent(rng, n)
@@ -529,16 +534,20 @@ class TestPermutationTriangularization:
                 i, j = rng.integers(0, n, 2)
                 c[i, j] += 0.5
                 c[j, i] += 0.5  # 2-cycle (or self-loop when i == j)
-            has_perm = permutation_triangularization(c) is not None
-            is_nilpotent = nilpotency_index(c) is not None
-            assert has_perm == is_nilpotent
+            if nilpotency_index(c) is None:
+                cycles += 1
+                with pytest.raises(ValueError, match="not nilpotent"):
+                    nilpotent_commutator_factors(c, 1.0)
+            else:
+                nilpotent_commutator_factors(c, 1.0)
+        assert 0 < cycles < 60
 
 
 class TestMatrixFiles:
     def test_json_round_trip(self, tmp_path):
         a = np.array([[1.5, -2.0], [0.0, 3e-12]])
         path = tmp_path / "m.json"
-        write_matrix(path, a)
+        write_json(path, a)
         assert np.array_equal(read_matrix(path), a)
 
     def test_csv_with_scientific_notation(self, tmp_path):
@@ -623,7 +632,7 @@ class TestJsonEncoder:
         with pytest.raises(ValueError, match="finite"):
             _json_text(a)
         with pytest.raises(ValueError, match="finite"):
-            write_matrix(tmp_path / "m.json", a)
+            write_json(tmp_path / "m.json", a)
         assert not (tmp_path / "m.json").exists()
 
     @settings(
@@ -636,7 +645,7 @@ class TestJsonEncoder:
         if transpose:
             a = a.T
         path = tmp_path / "m.json"
-        write_matrix(path, a)
+        write_json(path, a)
         back = read_matrix(path)
         assert back.shape == a.shape
         assert np.array_equal(back.view(np.int64), np.ascontiguousarray(a).view(np.int64))

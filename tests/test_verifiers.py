@@ -16,7 +16,7 @@ from commkit.constructions import (
     nilpotent_commutator_factors,
     trace_zero_commutator_factors,
 )
-from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
+from commkit.lazyops import block4, even_isometry, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
     MAX_POWER,
@@ -317,22 +317,6 @@ class TestCertifiedCheck:
         with pytest.raises(ValueError, match="at most 4096"):
             certified_halmos_popa_check(0.5, window=4097)
 
-    def test_given_sections_match_built_ones(self):
-        pair = halmos_pair_scaled()
-        sections = tuple(compress(op, 64, 0.2) for op in (pair.a, pair.b, pair.nilpotent))
-        vd = certified_halmos_popa_check(0.2, window=64, sections=sections)
-        assert vd == certified_halmos_popa_check(0.2, window=64)
-        assert 0.0 < vd.inputs["norm_n_lower"] <= vd.inputs["norm_n_upper"]
-
-    def test_rejects_misshapen_sections(self):
-        pair = halmos_pair_scaled()
-        sections = tuple(compress(op, 64, 0.2) for op in (pair.a, pair.b, pair.nilpotent))
-        for bad in (sections[:2], sections + sections[:1], (sections[0][:32, :32],) + sections[1:]):
-            with pytest.raises(ValueError, match="three 64x64"):
-                certified_halmos_popa_check(0.2, window=64, sections=bad)
-        with pytest.raises(ValueError, match="three 128x128"):
-            certified_halmos_popa_check(0.2, window=128, sections=sections)
-
 
 class TestExactChecks:
     def test_scaled_pair_passes_both(self):
@@ -464,6 +448,32 @@ class TestFactorizationChecks:
         above = factorization_checks(off, pair, tol=0.0, eps=eps)[0]
         assert not above.passed
         assert above.witness["residual"] > above.inputs["tolerance"]
+
+    @pytest.mark.parametrize("eps, index", [(None, (3, 0)), (0.5, (0, 3))],
+                             ids=["tracezero", "nilpotent"])
+    def test_residual_allows_for_underflow_at_tol_zero(self, eps, index):
+        # b = 5e-324 / (d_i - d_j) underflows to 0, and the relative term
+        # gamma_4 (1 + spread) max C is 0 in floating point.
+        c = np.zeros((4, 4))
+        c[index] = 5e-324
+        pair = nilpotent_commutator_factors(c, eps) if eps else trace_zero_commutator_factors(c)
+        residual = factorization_checks(c, pair, tol=0.0, eps=eps)[0]
+        assert residual.passed and residual.inputs["residual"] == 5e-324
+        assert residual.inputs["tolerance"] <= 64 * 5e-324  # a few dozen least subnormals
+        # A C that differs from AB - BA by twice the allowance fails.
+        off = c.copy()
+        off[index] += 2.0 * residual.inputs["tolerance"]
+        above = factorization_checks(off, pair, tol=0.0, eps=eps)[0]
+        assert not above.passed
+        assert above.inputs["tolerance"] == residual.inputs["tolerance"]
+
+    def test_residual_allows_for_underflow_times_the_diagonal_gap(self):
+        # b_21 = 1e-290 / (d_2 - d_1) = 1e-320 is subnormal and off by up to 2**-1075, which
+        # AB - BA multiplies by d_2 - d_1 = 1e30: the residual is about 1e-295.
+        c = np.array([[0.0, 0.0], [1e-290, 0.0]])
+        pair = nilpotent_commutator_factors(c, 1e-30)
+        residual = factorization_checks(c, pair, tol=0.0, eps=1e-30)[0]
+        assert residual.passed and residual.inputs["residual"] > 1e-300
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_bad_tol(self, tol):
