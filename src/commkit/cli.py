@@ -33,7 +33,6 @@ from .matrices import UnconvergedError, read_matrix, write_json
 from .verdict import Verdict
 from .verifiers import (
     SECTION_REL_TOL,
-    _check_section_args,
     certified_halmos_popa_check,
     exact_commutator_identity_check,
     factorization_checks,
@@ -48,7 +47,7 @@ SCHEMA_VERSION = 1
 
 # Largest construct-halmos window.  Its payload holds three dense w x w
 # sections, so memory grows with w**2: at eps 0.5 the peak resident set
-# (ru_maxrss, numpy 2.4) was 45 MB at w = 512 and 103 MB at 1024.
+# (ru_maxrss, numpy 2.4 with OpenBLAS) was 44 MiB at w = 512 and 86 MiB at 1024.
 MAX_PAYLOAD_WINDOW = 1024
 
 
@@ -133,12 +132,11 @@ def _norm_row(eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
 
 def _cmd_construct_halmos(args) -> RunReport:
     eps = args.eps
-    _check_section_args(eps, args.window)  # before any section is built
+    row, _ = _norm_row(eps, args.window)  # refuses a bad eps or window first
     if args.window > MAX_PAYLOAD_WINDOW:
         raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {args.window}")
     pair = halmos_pair_scaled()
     a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
-    row, _ = _norm_row(eps, args.window)
     verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
     write_json(args.out, {"eps": eps, "window": args.window, "A": a, "B": b, "N": n})
     return RunReport(

@@ -219,15 +219,13 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     nonnegative inputs alike.  A is first scaled by a power of two so its
     largest entry lies in [1/2, 1): nothing overflows, and underflow
     (absolute error 2**-1074 per operation) stays below the extra unit
-    roundoff each gamma term carries for it.  UnconvergedError, carrying
-    the bracket, is raised when rounding alone leaves it wider than rel_tol.
+    roundoff each gamma term carries for it.  Scaling back rounds only a
+    subnormal bound, outward; a norm past the double range raises
+    DynamicRangeError.  UnconvergedError, carrying the bracket, is raised
+    when rounding alone leaves it wider than rel_tol.
     """
     a = _checked(np.asarray(a, dtype=float))  # read only, so no copy
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
     support = a != 0.0
-    if not support.any():
-        return NormCertificate(0.0, 0.0, "exact", "exact")
     count, row_label, col_label = _labels(
         _boruvka_forest(support), support.any(axis=1), support.any(axis=0))
     if count == 1:
@@ -250,11 +248,7 @@ def _entries_norm(shape: tuple[int, int], entries, rel_tol: float) -> NormCertif
     rows, cols, values = entries
     if not np.isfinite(values).all():
         raise ValueError("matrix entries must be finite")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
     edge = values != 0.0
-    if not edge.any():
-        return NormCertificate(0.0, 0.0, "exact", "exact")
     m, n = shape
     u, v = rows[edge], cols[edge]
     parent = np.arange(m + n)
@@ -270,7 +264,14 @@ def _entries_norm(shape: tuple[int, int], entries, rel_tol: float) -> NormCertif
 
 
 def _bracket(count: int, blocks: list[np.ndarray], rel_tol: float) -> NormCertificate:
-    """The bracket of operator_norm from the distinct blocks of its count components."""
+    """The bracket of operator_norm from the distinct blocks of its count components.
+
+    The one check of rel_tol, NaN refused; no blocks is the zero matrix, norm exactly 0.
+    """
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
+    if not blocks:
+        return NormCertificate(0.0, 0.0, "exact", "exact")
     certs = [_dense_certificate(block) for block in blocks]
     lower = max(certs, key=lambda c: c.lower)
     upper = max(certs, key=lambda c: c.upper)
@@ -325,9 +326,14 @@ def _dense_certificate(a: np.ndarray) -> NormCertificate:
 
     lower, lower_method = max((eigenvector, "eigenvector"), (column, "column-norm"))
     upper, upper_method = min((weyl, "weyl-enclosure"), (cap, "norm-cap"))
-    return NormCertificate(
-        math.ldexp(lower, exponent), math.ldexp(upper, exponent), lower_method, upper_method
-    )
+    try:
+        lo, hi = math.ldexp(lower, exponent), math.ldexp(upper, exponent)
+    except OverflowError:
+        raise DynamicRangeError("operator norm exceeds the double range") from None
+    # ldexp rounds to nearest only where its result is subnormal; undoing it is exact.
+    lo = lo if math.ldexp(lo, -exponent) <= lower else math.nextafter(lo, 0.0)
+    hi = hi if math.ldexp(hi, -exponent) >= upper else math.nextafter(hi, math.inf)
+    return NormCertificate(lo, hi, lower_method, upper_method)
 
 
 def _hook(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:

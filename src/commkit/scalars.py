@@ -2,7 +2,9 @@
 
 These are the scalars of the lazy operator engine: Laurent polynomials in
 the scale parameter eps over the integers.  All ring operations are exact;
-evaluating at a numeric eps is the only lossy step.
+evaluating at a numeric eps is the only lossy step.  Only the constructor
+drops zero coefficients and range-checks the rest, so sums and products
+check the coefficients of their result, never a partial sum.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ class CoefficientOverflow(OverflowError):
     """A coefficient left the signed 64-bit range."""
 
 
-def _checked(coeff: int) -> int:
-    if abs(coeff) > _COEFF_LIMIT:
-        raise CoefficientOverflow(f"coefficient {coeff} exceeds 64-bit range")
-    return coeff
-
-
 class EpsScalar:
     """Immutable integer-coefficient Laurent polynomial in eps."""
 
@@ -38,8 +34,10 @@ class EpsScalar:
                     raise TypeError(f"exponent must be an int, got {power!r}")
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficient must be an int, got {coeff!r}")
+                if abs(coeff) > _COEFF_LIMIT:
+                    raise CoefficientOverflow(f"coefficient {coeff} exceeds 64-bit range")
                 if coeff != 0:
-                    clean[power] = _checked(coeff)
+                    clean[power] = coeff
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
@@ -83,11 +81,7 @@ class EpsScalar:
             return NotImplemented
         out = dict(self._terms)
         for power, coeff in rhs._terms.items():
-            total = _checked(out.get(power, 0) + coeff)
-            if total == 0:
-                out.pop(power, None)
-            else:
-                out[power] = total
+            out[power] = out.get(power, 0) + coeff
         return EpsScalar(out)
 
     __radd__ = __add__
@@ -114,12 +108,7 @@ class EpsScalar:
         out: dict[int, int] = {}
         for p1, c1 in self._terms.items():
             for p2, c2 in rhs._terms.items():
-                power = p1 + p2
-                total = _checked(out.get(power, 0) + _checked(c1 * c2))
-                if total == 0:
-                    out.pop(power, None)
-                else:
-                    out[power] = total
+                out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
         return EpsScalar(out)
 
     __rmul__ = __mul__

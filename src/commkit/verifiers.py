@@ -426,15 +426,6 @@ MAX_WINDOW = 4096
 SECTION_REL_TOL = 1e-6
 
 
-def _check_section_args(eps: float, window: int) -> None:
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    if window < 16:
-        raise ValueError("window must be at least 16")
-    if window > MAX_WINDOW:
-        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-
-
 def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
     """One-sided certified check of the norm lower bound on the scaled pair.
 
@@ -448,16 +439,20 @@ def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
 
     Each window x window section of halmos_pair_scaled() at eps is certified
     from its listed entries (lazyops._section_entries), and no dense section
-    is built.  Raises ValueError for eps outside (0, 1] or a window outside
-    [16, MAX_WINDOW], before any section is built.
+    is built.  halmos_nilpotent_majorant refuses eps outside (0, 1] and then
+    this check a window outside [16, MAX_WINDOW], before any section is listed.
     """
-    _check_section_args(eps, window)
+    majorant = halmos_nilpotent_majorant(eps)
+    if window < 16:
+        raise ValueError("window must be at least 16")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
     pair = halmos_pair_scaled()
     lower_a, lower_b, lower_n = (
         _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
         for op in (pair.a, pair.b, pair.nilpotent)
     )
-    upper_n = operator_norm(halmos_nilpotent_majorant(eps), rel_tol=1e-12).upper
+    upper_n = operator_norm(majorant, rel_tol=1e-12).upper
     vd = popa_bound(lower_a, lower_b, upper_n)
     return dataclasses.replace(
         vd,

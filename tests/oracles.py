@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,3 +34,54 @@ def matrix_to_json_dict(a) -> dict:
     """The dense matrix form {"rows", "cols", "data"}, whose json.dumps the writer must match."""
     a = as_matrix(a)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
+
+
+# -- exact spectral norms ----------------------------------------------------
+# A float is a dyadic rational, so Fraction(x) is exact, and so are the Gram
+# matrix of a block and its characteristic polynomial.  No rounding enters.
+
+
+def gram_charpoly(a) -> list[Fraction]:
+    """Coefficients, lowest degree first, of det(t I - G), G the exact Gram
+    matrix of the 2-D float array a on its smaller side; its roots are the
+    squared singular values of a.  Faddeev-LeVerrier: M_k = G M_(k-1) + c I,
+    and the next coefficient is -tr(G M_k) / k."""
+    a = np.asarray(a, dtype=float)
+    cols = [[Fraction(float(x)) for x in col] for col in (a if a.shape[0] < a.shape[1] else a.T)]
+    n = len(cols)
+    gram = [[sum(x * y for x, y in zip(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)]  # highest degree first while building
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(gram[i][r] * m[r][j] for r in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(gram[i][r] * m[r][i] for i in range(n) for r in range(n))
+        coeffs.append(-trace / k)
+    return coeffs[::-1]
+
+
+def at_or_above_top_root(poly: list[Fraction], t: Fraction) -> bool:
+    """Whether t >= the largest root of the real-rooted poly (lowest degree first).
+
+    Such a polynomial and all its derivatives have their roots at or below
+    its largest root and a positive leading coefficient, so all are >= 0 at
+    t >= that root.  Below it, Budan-Fourier (exact for real roots) counts a
+    root above t, so some derivative is negative at t.
+    """
+    while poly:
+        if _value(poly, t) < 0:
+            return False
+        poly = [k * c for k, c in enumerate(poly)][1:]
+    return True
+
+
+def bracket_contains_norm(a, lower: float, upper: float) -> bool:
+    """Whether lower <= |a| <= upper exactly, |.| the spectral norm of the float array a."""
+    poly = gram_charpoly(a)
+    lo2, hi2 = Fraction(lower) ** 2, Fraction(upper) ** 2
+    lower_ok = not at_or_above_top_root(poly, lo2) or _value(poly, lo2) == 0
+    return lower_ok and at_or_above_top_root(poly, hi2)
+
+
+def _value(poly: list[Fraction], t: Fraction) -> Fraction:
+    return sum(c * t**k for k, c in enumerate(poly))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from commkit.constructions import (
 )
 from commkit.lazyops import _section_entries, compress
 from commkit.matrices import (
+    DynamicRangeError,
     UnconvergedError,
     _boruvka_forest,
     _component_blocks,
@@ -32,7 +35,13 @@ from commkit.matrices import (
     read_matrix,
     write_json,
 )
-from oracles import matrix_to_json_dict, nilpotency_index
+from oracles import (
+    at_or_above_top_root,
+    bracket_contains_norm,
+    gram_charpoly,
+    matrix_to_json_dict,
+    nilpotency_index,
+)
 
 
 # -- independent oracle: exact spectral norm for sizes <= 4 ------------------
@@ -224,6 +233,17 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(identity(2), rel_tol=0.0)
 
+    @pytest.mark.parametrize("a", [np.identity(2), np.zeros((2, 2))], ids=["nonzero", "zero"])
+    def test_rejects_nan_rel_tol(self, a):
+        with pytest.raises(ValueError, match="rel_tol"):
+            operator_norm(a, rel_tol=math.nan)
+        with pytest.raises(ValueError, match="rel_tol"):
+            _entries_norm(a.shape, _entries(a), math.nan)
+
+    def test_norm_beyond_the_double_range_is_refused(self):
+        with pytest.raises(DynamicRangeError, match="double range"):
+            operator_norm(np.full((2, 2), 1e308))
+
     @pytest.mark.parametrize("values", [
         [[1.0, float("nan")]],
         np.array([[1.0], [float("inf")]]),
@@ -313,6 +333,87 @@ class TestOperatorNormSvdOracle:
         assert cert.lower <= exact + slack and exact - slack <= cert.upper
         assert (cert.upper - cert.lower) / cert.upper <= 1e-10
         assert cert.components == 1024
+
+
+# Entries of extreme blocks: zeros, the least subnormals, subnormals, and
+# magnitudes up to the largest double, drawn from one scale or mixed.
+_TINY = st.sampled_from([0.0, 5e-324, -5e-324]) | st.floats(-(2.0**-1022), 2.0**-1022)
+_HUGE = st.floats(2.0**1000, sys.float_info.max) | st.floats(-sys.float_info.max, -(2.0**1000))
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _extreme_blocks(draw):
+    p = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 8 - p))
+    entries = draw(st.sampled_from([_TINY, _HUGE | _TINY, _ANY | _TINY]))
+    return np.array(draw(st.lists(entries, min_size=p * q, max_size=p * q))).reshape(p, q)
+
+
+def _distinct_blocks(section):
+    """operator_norm's distinct component blocks of section."""
+    _, row_label, col_label = _split(section)
+    rows, cols = np.nonzero(section)
+    return _component_blocks(row_label, col_label, rows, cols, section[rows, cols])
+
+
+class TestOperatorNormExactOracle:
+    """Brackets against the exact rational norm of oracles.py, with no ulp of slack."""
+
+    @pytest.mark.parametrize("window, grid", [
+        (512, (0.05, 0.1, 0.2, 0.4)),
+        (128, (0.05, 0.1, 0.2, 0.4, 1.0)),
+    ], ids=["sweep", "construct-halmos"])
+    def test_section_blocks(self, window, grid):
+        pair = halmos_pair_scaled()
+        blocks = {}
+        for eps in grid:
+            for op in (pair.a, pair.b, pair.nilpotent):
+                for block in _distinct_blocks(compress(op, window, eps)):
+                    blocks[block.shape, block.tobytes()] = block
+        assert len(blocks) >= 4 * len(grid)
+        for block in blocks.values():
+            assert sum(block.shape) <= 8
+            cert = _dense_certificate(block)
+            assert bracket_contains_norm(block, cert.lower, cert.upper), block
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4, 0.5, 1.0])
+    def test_majorants(self, eps):
+        majorant = halmos_nilpotent_majorant(eps)
+        cert = operator_norm(majorant, rel_tol=1e-12)
+        assert bracket_contains_norm(majorant, cert.lower, cert.upper)
+
+    @given(_extreme_blocks())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[-5e-324], [5e-324], [5e-324]]))  # norm sqrt(3) * 5e-324, between subnormals
+    @example(np.array([[0.0, 5e-324, -3.44035e-318]]))  # norm a hair above a subnormal
+    def test_extreme_blocks(self, a):
+        for certify in (operator_norm, _dense_certificate):
+            if certify is _dense_certificate and not a.any():
+                continue  # the dense certificate takes a nonzero matrix
+            try:
+                cert = certify(a)
+                lower, upper = cert.lower, cert.upper
+            except UnconvergedError as err:
+                lower, upper = err.data["lower"], err.data["upper"]
+            except DynamicRangeError:
+                # Refused only when the norm is within 2**-30 of the double range's top.
+                top = Fraction(sys.float_info.max * (1.0 - 2.0**-30))
+                assert not at_or_above_top_root(gram_charpoly(a), top**2)
+                continue
+            assert bracket_contains_norm(a, lower, upper)
+
+    @pytest.mark.parametrize("a, lower, upper", [
+        ([[3.0]], 3.0, 3.0),
+        ([[1.0, 1.0]], math.nextafter(math.sqrt(2.0), 0.0), math.sqrt(2.0)),
+        ([[-5e-324], [5e-324], [5e-324]], 5e-324, 1e-323),
+        (np.zeros((2, 3)), 0.0, 0.0),
+    ], ids=["three", "root-two", "subnormal", "zero"])
+    def test_one_ulp_inward_is_rejected(self, a, lower, upper):
+        assert bracket_contains_norm(a, lower, upper)
+        assert not bracket_contains_norm(a, math.nextafter(lower, math.inf), upper)
+        if upper > 0.0:
+            assert not bracket_contains_norm(a, lower, math.nextafter(upper, 0.0))
 
 
 def _split(a):

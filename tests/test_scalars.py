@@ -74,6 +74,13 @@ def test_overflow_detected():
         big + big
 
 
+def test_only_result_coefficients_are_range_checked():
+    # The partial product 2**32 * 2**31 = 2**63 is out of range, yet the
+    # eps**0 coefficient 2**63 - 1 it sums into is not.
+    product = EpsScalar({0: 2**32, 1: 1}) * EpsScalar({0: 2**31, -1: -1})
+    assert product.terms == {-1: -(2**32), 0: 2**63 - 1, 1: 2**31}
+
+
 def test_rejects_non_integer_terms():
     with pytest.raises(TypeError):
         EpsScalar({0: 1.5})
