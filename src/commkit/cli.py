@@ -9,7 +9,6 @@ JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -20,35 +19,21 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
-from .constructions import (
-    halmos_pair_scaled,
-    nilpotent_commutator_factors,
-    trace_zero_commutator_factors,
-)
-from .lazyops import compress
+from .constructions import nilpotent_commutator_factors, trace_zero_commutator_factors
 from .matrices import UnconvergedError, read_matrix, write_json
 from .verdict import Verdict
 from .verifiers import (
-    SECTION_REL_TOL,
-    certified_halmos_popa_check,
-    exact_commutator_identity_check,
+    construct_halmos_checks,
     factorization_checks,
     finite_dim_obstructions,
-    nil_index_three_check,
     popa_bound,
     power_inequality_report,
+    sweep_checks,
     wielandt_violation_witness,
 )
 
 SCHEMA_VERSION = 1
-
-# Largest construct-halmos window.  Its payload holds three dense w x w
-# sections, so memory grows with w**2: at eps 0.5 the peak resident set
-# (ru_maxrss, numpy 2.4 with OpenBLAS) was 44 MiB at w = 512 and 86 MiB at 1024.
-MAX_PAYLOAD_WINDOW = 1024
 
 
 @dataclass
@@ -75,10 +60,6 @@ class RunReport:
             "version": __version__,
         }
 
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
 
 def _emit(report: RunReport, as_json: bool) -> None:
     if as_json:
@@ -88,60 +69,25 @@ def _emit(report: RunReport, as_json: bool) -> None:
     for key, value in report.parameters.items():
         print(f"  {key} = {value}")
     for vd in report.verdicts:
-        status = "PASS" if vd.passed else "FAIL"
-        extra = ""
-        if vd.margin is not None:
-            extra = f"  margin={vd.margin:.6g}"
-        print(f"{status} {vd.claim}{extra}")
+        margin = "" if vd.margin is None else f"  margin={vd.margin:.6g}"
+        print(f"{'PASS' if vd.passed else 'FAIL'} {vd.claim}{margin}")
         if not vd.passed and vd.witness:
             print(f"     witness: {vd.witness}")
-    if report.tables:
-        for row in report.tables:
-            cells = "  ".join(f"{k}={_fmt(v)}" for k, v in row.items())
-            print(f"  {cells}")
-    if report.slopes:
-        for name, slope in report.slopes.items():
-            print(f"  slope {name} = {slope:.4f}")
+    for row in report.tables or []:
+        print("  " + "  ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                               for k, v in row.items()))
+    for name, slope in (report.slopes or {}).items():
+        print(f"  slope {name} = {slope:.4f}")
     for note in report.notes:
         print(f"  note: {note}")
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def _norm_row(eps: float, window: int) -> tuple[dict[str, Any], Verdict | None]:
-    """Table row and verdict of the certified popa check at one grid point.
-
-    An unconverged norm marks the row instead of aborting the run; its
-    verdict is then None.
-    """
-    row: dict[str, Any] = {"eps": eps, "window": window, "converged": True}
-    try:
-        vd = certified_halmos_popa_check(eps, window)
-    except UnconvergedError as exc:
-        row["converged"] = False
-        row["error"] = str(exc)
-        return row, None
-    row.update(vd.inputs)
-    row["margin"] = vd.margin
-    return row, vd
-
-
 def _cmd_construct_halmos(args) -> RunReport:
-    eps = args.eps
-    row, _ = _norm_row(eps, args.window)  # refuses a bad eps or window first
-    if args.window > MAX_PAYLOAD_WINDOW:
-        raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {args.window}")
-    pair = halmos_pair_scaled()
-    a, b, n = (compress(op, args.window, eps) for op in (pair.a, pair.b, pair.nilpotent))
-    verdicts = [exact_commutator_identity_check(pair), nil_index_three_check(pair)]
-    write_json(args.out, {"eps": eps, "window": args.window, "A": a, "B": b, "N": n})
+    verdicts, row, sections = construct_halmos_checks(args.eps, args.window)
+    write_json(args.out, {"eps": args.eps, "window": args.window, **sections})
     return RunReport(
         command="construct-halmos",
-        parameters={"eps": eps, "window": args.window, "out": str(args.out)},
+        parameters={"eps": args.eps, "window": args.window, "out": str(args.out)},
         verdicts=verdicts,
         tables=[row],
     )
@@ -196,35 +142,7 @@ def _cmd_verify(args) -> RunReport:
 
 def _cmd_sweep(args) -> RunReport:
     grid = _parse_grid(args.grid)
-    if args.window < 64:
-        raise ValueError("--window must be at least 64")
-    rows = []
-    verdicts = []
-    notes = []
-    for eps in grid:
-        row, vd = _norm_row(eps, args.window)
-        rows.append(row)
-        if vd is not None:
-            verdicts.append(dataclasses.replace(
-                vd, claim=f"certified-popa-eps-{eps!r}", inputs={"eps": eps, "window": args.window}
-            ))
-    slopes = None
-    good = [r for r in rows if r["converged"]]
-    if len(good) < len(rows):
-        notes.append(f"{len(rows) - len(good)} grid point(s) did not converge; rows marked")
-    if len(good) >= 2:
-        names = ("norm_a", "norm_b", "norm_n")
-        log_lower = {name: np.log([r[f"{name}_lower"] for r in good]) for name in names}
-        slopes, error = _fit_slopes(np.log([r["eps"] for r in good]), log_lower)
-        if slopes is None:
-            notes.append("slopes need two grid points whose eps differ in log")
-        elif error > 1e-3:  # slopes print to 4 decimals
-            notes.append(
-                f"slopes are uncertain by up to {error:.3g}: the grid's spread in log eps is "
-                f"too small for lower bounds within rel_tol={SECTION_REL_TOL:g} of the norms"
-            )
-    else:
-        notes.append("slopes need at least 2 converged grid points")
+    rows, verdicts, slopes, notes = sweep_checks(grid, args.window)
     report = RunReport(
         command="sweep",
         parameters={"grid": grid, "window": args.window, "out": str(args.out)},
@@ -237,37 +155,11 @@ def _cmd_sweep(args) -> RunReport:
     return report
 
 
-def _fit_slopes(x: np.ndarray, ys: dict[str, np.ndarray]) -> tuple[dict[str, float] | None, float]:
-    """Least-squares slope of each y over x, and how far it can lie from the section norms' slope.
-
-    With the deviations d = x - mean(x), the slope is sum(d y) / sum(d**2).
-    Each log lower bound lies in [y - delta, y], y the log section norm and
-    delta = -ln(1 - SECTION_REL_TOL), and the d sum to zero, so the slope moves
-    by delta sum|d| / (2 sum(d**2)).  When distinct eps share a logarithm,
-    sum(d**2) is 0 and there are no slopes.
-    """
-    dev = x - x.mean()
-    spread = float((dev * dev).sum())
-    if spread == 0.0:
-        return None, math.inf
-    delta = -math.log1p(-SECTION_REL_TOL)
-    slopes = {name: float((dev * y).sum()) / spread for name, y in ys.items()}
-    return slopes, delta * float(np.abs(dev).sum()) / (2.0 * spread)
-
-
 def _parse_grid(text: str) -> list[float]:
     try:
-        grid = [float(cell) for cell in text.split(",") if cell.strip()]
+        return [float(cell) for cell in text.split(",") if cell.strip()]
     except ValueError:
         raise ValueError(f"--grid must be comma-separated numbers, got {text!r}") from None
-    if not grid:
-        raise ValueError("--grid is empty")
-    for k, eps in enumerate(grid):
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"grid value {eps} outside (0, 1]")
-        if eps in grid[:k]:
-            raise ValueError(f"grid value {eps} is repeated")
-    return grid
 
 
 @functools.cache
@@ -338,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout; the verdict stands.  Point stdout at
         # devnull so the interpreter's exit-time flush does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if report.all_passed else 1
+    return 0 if all(vd.passed for vd in report.verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ finite-dimensional commutator factorizations of positive matrices."""
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ import numpy as np
 
 from .lazyops import (
     LazyOp,
+    _check_eps,
     block4,
     even_isometry,
     identity_op,
@@ -19,7 +21,7 @@ from .lazyops import (
     pair_swap,
     zero_op,
 )
-from .matrices import DynamicRangeError, _square_inputs, _topological_order
+from .matrices import DynamicRangeError, _square_inputs
 from .scalars import EpsScalar
 
 __all__ = [
@@ -121,30 +123,42 @@ def halmos_nilpotent_majorant(eps: float) -> np.ndarray:
     """4x4 matrix of the exact block norms |coefficient| * eps**(j - i) of the
     scaled nilpotent part; its spectral norm is a certified upper bound for
     the operator's norm."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    _check_eps(eps)
     out = np.zeros((4, 4))
     for (i, j), (coeff, _) in _BLOCKS["nilpotent"].items():
         out[i - 1, j - 1] = abs(coeff) * eps ** (j - i)
     return out
 
 
-def _support_cycle(support: np.ndarray, order: list[int]) -> list[int]:
-    """One directed cycle of the support digraph, as 1-based indices.
+def _support_order(support: np.ndarray) -> list[int]:
+    """Kahn's topological sort of the digraph with an arc i -> j wherever
+    support[i, j], ties broken on the lowest index, or ValueError naming a cycle.
 
-    Every index the topological sort ``order`` leaves unplaced has an
-    unplaced predecessor, so walking back along the lowest such predecessor
-    from the lowest unplaced index must revisit an index; the walk reversed
-    from the first visit of that index is a cycle.
+    An index left unplaced keeps a positive indegree from an unplaced
+    predecessor, so walking back along the lowest such predecessor from the
+    lowest unplaced index must revisit an index; the walk reversed from the
+    first visit of that index is a cycle, named by 1-based indices.
     """
-    unplaced = np.ones(support.shape[0], dtype=bool)
-    unplaced[order] = False
+    indegree = support.sum(axis=0).astype(int)
+    ready = np.flatnonzero(indegree == 0).tolist()
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in np.nonzero(support[i])[0]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, int(j))
+    unplaced = indegree > 0
+    if not unplaced.any():
+        return order
     walk: dict[int, int] = {}  # index -> step at which the walk reached it
     j = int(np.argmax(unplaced))
     while j not in walk:
         walk[j] = len(walk)
         j = int(np.argmax(support[:, j] & unplaced))
-    return [k + 1 for k in [j, *reversed(list(walk)[walk[j]:])]]
+    cycle = [k + 1 for k in [j, *reversed(list(walk)[walk[j]:])]]
+    raise ValueError(f"matrix is not nilpotent: support cycle {'->'.join(map(str, cycle))}")
 
 
 def _nonnegative_square(c) -> np.ndarray:
@@ -190,11 +204,7 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     n = c.shape[0]
-    support = c > 0.0
-    order = _topological_order(support)
-    if len(order) < n:
-        path = "->".join(map(str, _support_cycle(support, order)))
-        raise ValueError(f"matrix is not nilpotent: support cycle {path}")
+    order = _support_order(c > 0.0)
     ratio = (1.0 + eps) / eps
     if (n - 1) * math.log10(ratio) > 300.0:
         raise DynamicRangeError(

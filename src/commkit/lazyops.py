@@ -384,6 +384,12 @@ def _section_entries(op: LazyOp, m: int, eps: float) -> tuple[np.ndarray, np.nda
     return np.concatenate(rows), np.concatenate(cols), np.repeat(np.array(values, dtype=float), counts)
 
 
+def _check_eps(eps: float) -> None:
+    """The one range rule of a numeric eps: the scaled family is defined for 0 < eps <= 1."""
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+
+
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     """The leading m x m corner of the operator, evaluated at eps in (0, 1].
 
@@ -397,8 +403,7 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("window size must be a positive integer")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    _check_eps(eps)
     if not isinstance(op, LazyOp):
         raise TypeError("op must be a LazyOp")
     rows, cols, values = _section_entries(op, m, eps)

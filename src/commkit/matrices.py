@@ -7,7 +7,6 @@ by the operator engine.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import re
@@ -101,6 +100,12 @@ def max_abs(a) -> float:
     return float(np.abs(as_matrix(a)).max())
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule of a comparison tolerance: finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     """Check a <= b entrywise, allowing entries of b - a down to -tol.
 
@@ -111,8 +116,7 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     a = as_matrix(a)
     b = as_matrix(b)
     _require_same_shape(a, b)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     diff = b - a
     flat_idx = int(diff.argmin())
     i, j = np.unravel_index(flat_idx, diff.shape)
@@ -433,23 +437,6 @@ def _component_blocks(
         # Byte-identical blocks have identical certificates: keep one of each.
         blocks.extend({block.tobytes(): block for block in stack}.values())
     return blocks
-
-
-def _topological_order(support: np.ndarray) -> list[int]:
-    """Kahn's topological sort of the digraph with an arc i -> j wherever
-    support[i, j], ties broken on the lowest index.  Indices on a cycle, or
-    reachable from one, are left out."""
-    indegree = support.sum(axis=0).astype(int)
-    ready = np.flatnonzero(indegree == 0).tolist()
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in np.nonzero(support[i])[0]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, int(j))
-    return order
 
 
 # -- file formats -----------------------------------------------------------

@@ -14,9 +14,11 @@ import sys
 import numpy as np
 
 from .constructions import FactorPair, HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
-from .lazyops import LazyOp, _residue_columns, _section_entries
+from .lazyops import LazyOp, _check_eps, _residue_columns, _section_entries, compress
 from .matrices import (
     DynamicRangeError,
+    UnconvergedError,
+    _check_tol,
     _entries_norm,
     _gamma,
     _square_inputs,
@@ -29,10 +31,12 @@ from .matrices import (
 from .verdict import Verdict
 
 __all__ = [
+    "MAX_PAYLOAD_WINDOW",
     "MAX_POWER",
     "MAX_WINDOW",
     "SECTION_REL_TOL",
     "certified_halmos_popa_check",
+    "construct_halmos_checks",
     "delta_threshold",
     "exact_commutator_identity_check",
     "factorization_checks",
@@ -40,6 +44,7 @@ __all__ = [
     "nil_index_three_check",
     "popa_bound",
     "power_inequality_report",
+    "sweep_checks",
     "wielandt_violation_witness",
 ]
 
@@ -287,8 +292,7 @@ def factorization_checks(
     by the rounding of that diagonal solve.  C is not copied.  Raises
     ValueError for a tol that is not finite and nonnegative, or unequal shapes.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     c = np.asarray(c, dtype=float)
     if not c.shape == pair.a.shape == pair.b.shape:
         raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
@@ -421,9 +425,22 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
 # 29 MiB; it peaked at 190 MiB with dense sections.
 MAX_WINDOW = 4096
 
+# Largest construct-halmos window.  Its payload holds three dense w x w
+# sections, so memory grows with w**2: at eps 0.5 the peak resident set
+# (ru_maxrss, numpy 2.4 with OpenBLAS) was 44 MiB at w = 512 and 86 MiB at 1024.
+MAX_PAYLOAD_WINDOW = 1024
+
 # Relative width of the section norm brackets: each lower bound lies within
 # this fraction of its section's norm.
 SECTION_REL_TOL = 1e-6
+
+
+def _check_window(window: int) -> None:
+    """The one window rule of the scaled pair's sections: 16 <= window <= MAX_WINDOW."""
+    if window < 16:
+        raise ValueError("window must be at least 16")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
 
 
 def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
@@ -440,13 +457,10 @@ def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
     Each window x window section of halmos_pair_scaled() at eps is certified
     from its listed entries (lazyops._section_entries), and no dense section
     is built.  halmos_nilpotent_majorant refuses eps outside (0, 1] and then
-    this check a window outside [16, MAX_WINDOW], before any section is listed.
+    _check_window a window outside [16, MAX_WINDOW], before any section is listed.
     """
     majorant = halmos_nilpotent_majorant(eps)
-    if window < 16:
-        raise ValueError("window must be at least 16")
-    if window > MAX_WINDOW:
-        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
+    _check_window(window)
     pair = halmos_pair_scaled()
     lower_a, lower_b, lower_n = (
         _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
@@ -467,3 +481,103 @@ def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
             "bound": -math.log(upper_n) / 2.0,  # the bound popa_bound compared against
         },
     )
+
+
+def _norm_row(eps: float, window: int) -> tuple[dict, Verdict | None]:
+    """certified_halmos_popa_check at one point as a table row, and its verdict.
+
+    A norm that does not converge marks the row, and the verdict is None.
+    """
+    row: dict = {"eps": eps, "window": window, "converged": True}
+    try:
+        vd = certified_halmos_popa_check(eps, window)
+    except UnconvergedError as exc:
+        row.update(converged=False, error=str(exc))
+        return row, None
+    row.update(vd.inputs, margin=vd.margin)
+    return row, vd
+
+
+def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dict, dict]:
+    """What construct-halmos reports at eps: (verdicts, row, sections).
+
+    The verdicts are the exact proofs of [A, B] = I + N and of N's nil-index,
+    the row is that of sweep_checks, and sections maps "A", "B" and "N" to
+    the sections of halmos_pair_scaled() at eps.  Raises ValueError, before
+    any section is listed, for eps outside (0, 1] or a window outside
+    [16, MAX_PAYLOAD_WINDOW].
+    """
+    _check_eps(eps)
+    _check_window(window)
+    if window > MAX_PAYLOAD_WINDOW:
+        raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {window}")
+    row, _ = _norm_row(eps, window)
+    pair = halmos_pair_scaled()
+    sections = {key: compress(op, window, eps)
+                for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))}
+    return [exact_commutator_identity_check(pair), nil_index_three_check(pair)], row, sections
+
+
+def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], dict | None, list]:
+    """What sweep reports over an eps grid: (rows, verdicts, slopes, notes).
+
+    Each point gives a row and, if its norms converged, the verdict of
+    certified_halmos_popa_check, claimed as certified-popa-eps-<eps>.  Slopes
+    are fitted to the converged rows; the notes say why there are none, or
+    how uncertain they are.  Raises ValueError, before any section is listed,
+    for an empty grid, a value outside (0, 1] or repeated, or a window outside
+    [64, MAX_WINDOW].
+    """
+    if not grid:
+        raise ValueError("grid is empty")
+    for k, eps in enumerate(grid):
+        _check_eps(eps)
+        if eps in grid[:k]:
+            raise ValueError(f"grid value {eps} is repeated")
+    if window < 64:
+        raise ValueError("window must be at least 64")
+    _check_window(window)
+    rows, verdicts, notes = [], [], []
+    for eps in grid:
+        row, vd = _norm_row(eps, window)
+        rows.append(row)
+        if vd is not None:
+            verdicts.append(dataclasses.replace(
+                vd, claim=f"certified-popa-eps-{eps!r}", inputs={"eps": eps, "window": window}
+            ))
+    slopes = None
+    good = [r for r in rows if r["converged"]]
+    if len(good) < len(rows):
+        notes.append(f"{len(rows) - len(good)} grid point(s) did not converge; rows marked")
+    if len(good) >= 2:
+        log_lower = {name: np.log([r[f"{name}_lower"] for r in good])
+                     for name in ("norm_a", "norm_b", "norm_n")}
+        slopes, error = _fit_slopes(np.log([r["eps"] for r in good]), log_lower)
+        if slopes is None:
+            notes.append("slopes need two grid points whose eps differ in log")
+        elif error > 1e-3:  # slopes print to 4 decimals
+            notes.append(
+                f"slopes are uncertain by up to {error:.3g}: the grid's spread in log eps is "
+                f"too small for lower bounds within rel_tol={SECTION_REL_TOL:g} of the norms"
+            )
+    else:
+        notes.append("slopes need at least 2 converged grid points")
+    return rows, verdicts, slopes, notes
+
+
+def _fit_slopes(x: np.ndarray, ys: dict[str, np.ndarray]) -> tuple[dict[str, float] | None, float]:
+    """Least-squares slope of each y over x, and how far it can lie from the section norms' slope.
+
+    With the deviations d = x - mean(x), the slope is sum(d y) / sum(d**2).
+    Each log lower bound lies in [y - delta, y], y the log section norm and
+    delta = -ln(1 - SECTION_REL_TOL), and the d sum to zero, so the slope moves
+    by delta sum|d| / (2 sum(d**2)).  When distinct eps share a logarithm,
+    sum(d**2) is 0 and there are no slopes.
+    """
+    dev = x - x.mean()
+    spread = float((dev * dev).sum())
+    if spread == 0.0:
+        return None, math.inf
+    delta = -math.log1p(-SECTION_REL_TOL)
+    slopes = {name: float((dev * y).sum()) / spread for name, y in ys.items()}
+    return slopes, delta * float(np.abs(dev).sum()) / (2.0 * spread)

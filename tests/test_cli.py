@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from commkit import cli, matrices
+from commkit import cli, matrices, verifiers
 from commkit.cli import main
 from commkit.constructions import (
     FactorPair,
@@ -92,6 +93,17 @@ class TestConstructHalmos:
         assert not out.exists()
 
     def test_payload_window_is_capped_at_1024(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("construct-halmos", "--eps", 0.5, "--window", 2048, "--out", out) == 2
+        assert "window must be at most 1024" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_payload_cap_is_checked_before_any_section_is_listed(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def listed(*args):
+            raise AssertionError("a section was listed")
+
+        monkeypatch.setattr(verifiers, "_section_entries", listed)
         out = tmp_path / "x.json"
         assert run("construct-halmos", "--eps", 0.5, "--window", 2048, "--out", out) == 2
         assert "window must be at most 1024" in capsys.readouterr().err
@@ -513,6 +525,18 @@ def test_eps_whose_entries_overflow_is_input_error_naming_eps(tmp_path, capsys, 
     out = tmp_path / "o.json"
     assert run(*argv, "--out", out) == 2
     assert "at eps=1e-110 is outside the double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-halmos", "--eps", "0", "--window", "16"],
+    ["sweep", "--grid", "0.5,2.0", "--window", "64"],
+], ids=["construct-halmos", "sweep"])
+def test_eps_outside_the_range_is_one_rule(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(*argv, "--out", out) == 2
+    assert re.search(r"^error: eps must lie in \(0, 1\], got (0\.0|2\.0)$",
+                     capsys.readouterr().err, re.MULTILINE)
     assert not out.exists()
 
 

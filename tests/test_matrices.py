@@ -415,6 +415,40 @@ class TestOperatorNormExactOracle:
         if upper > 0.0:
             assert not bracket_contains_norm(a, lower, math.nextafter(upper, 0.0))
 
+    @pytest.mark.parametrize("perturb", ["values-low", "vectors-long"])
+    @pytest.mark.parametrize("blocks", [
+        [np.array([[1.0, 2.0], [3.0, 4.0]])],
+        [np.array([[2.0, 1.0], [1.0, 2.0]])],
+        [np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 1.0]])],
+        [np.random.default_rng(7).uniform(0.0, 1.0, (4, 4))],
+        "sweep",
+        "construct-halmos",
+    ], ids=["2x2", "symmetric", "3x2-signed", "4x4-positive", "sweep", "construct-halmos"])
+    def test_inaccurate_eigh_is_enclosed(self, monkeypatch, blocks, perturb):
+        # The enclosure trusts no output of eigh.  Eigenvalues 1e-6 low leave a
+        # residual R = G - V diag(lam) V^T that only |R|_F covers; eigenvectors
+        # 1e-6 long with eigenvalues shrunk to match leave R near 0, and only
+        # the (1 + eta) factor, eta >= |V^T V - I|, covers them.
+        if isinstance(blocks, str):
+            window, grid = {"sweep": (512, (0.05, 0.1, 0.2, 0.4)),
+                            "construct-halmos": (128, (0.05, 0.1, 0.2, 0.4, 1.0))}[blocks]
+            pair = halmos_pair_scaled()
+            blocks = [block for eps in grid for op in (pair.a, pair.b, pair.nilpotent)
+                      for block in _distinct_blocks(compress(op, window, eps))]
+        delta = 1e-6
+        eigh = np.linalg.eigh
+
+        def inaccurate(gram):
+            lam, vecs = eigh(gram)
+            if perturb == "values-low":
+                return lam * (1.0 - delta), vecs
+            return lam / (1.0 + delta) ** 2, vecs * (1.0 + delta)
+
+        monkeypatch.setattr(np.linalg, "eigh", inaccurate)
+        for block in blocks:
+            cert = _dense_certificate(block)
+            assert bracket_contains_norm(block, cert.lower, cert.upper), block
+
 
 def _split(a):
     """operator_norm's component labels of a's support."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from commkit import verifiers
 from commkit.constructions import (
     FactorPair,
     HalmosPair,
@@ -16,11 +17,12 @@ from commkit.constructions import (
     nilpotent_commutator_factors,
     trace_zero_commutator_factors,
 )
-from commkit.lazyops import block4, even_isometry, identity_op, pair_swap, zero_op
+from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
 from commkit.matrices import DynamicRangeError, commutator, identity
 from commkit.verifiers import (
     MAX_POWER,
     certified_halmos_popa_check,
+    construct_halmos_checks,
     delta_threshold,
     exact_commutator_identity_check,
     factorization_checks,
@@ -28,6 +30,7 @@ from commkit.verifiers import (
     nil_index_three_check,
     popa_bound,
     power_inequality_report,
+    sweep_checks,
     wielandt_violation_witness,
 )
 
@@ -316,6 +319,54 @@ class TestCertifiedCheck:
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError, match="at most 4096"):
             certified_halmos_popa_check(0.5, window=4097)
+
+
+class TestCommandEntries:
+    def test_construct_halmos_reports_the_two_exact_claims(self):
+        verdicts, row, sections = construct_halmos_checks(0.2, 64)
+        # The benchmark refuses a construct-halmos report with any other claims.
+        assert [vd.claim for vd in verdicts] == ["exact-commutator-identity", "nil-index-three"]
+        assert all(vd.passed for vd in verdicts)
+        vd = certified_halmos_popa_check(0.2, 64)
+        assert row == {"converged": True, **vd.inputs, "margin": vd.margin}
+        pair = halmos_pair_scaled()
+        assert list(sections) == ["A", "B", "N"]
+        for section, op in zip(sections.values(), (pair.a, pair.b, pair.nilpotent)):
+            assert np.array_equal(section, compress(op, 64, 0.2))
+
+    def test_sweep_rows_and_verdicts_are_the_certified_checks(self):
+        rows, verdicts, slopes, notes = sweep_checks([0.4, 0.1], 64)
+        assert len(rows) == len(verdicts) == 2
+        for eps, row, vd in zip((0.4, 0.1), rows, verdicts):
+            check = certified_halmos_popa_check(eps, 64)
+            assert row == {"converged": True, **check.inputs, "margin": check.margin}
+            assert (vd.claim, vd.passed, vd.margin) == (f"certified-popa-eps-{eps!r}", True,
+                                                      check.margin)
+            assert vd.inputs == {"eps": eps, "window": 64}
+        assert set(slopes) == {"norm_a", "norm_b", "norm_n"}
+        assert notes == []
+
+    @pytest.mark.parametrize("entry, eps, window, message", [
+        (construct_halmos_checks, 0.0, 16, r"eps must lie in \(0, 1\], got 0.0"),
+        (construct_halmos_checks, math.nan, 2048, r"eps must lie in \(0, 1\], got nan"),
+        (construct_halmos_checks, 0.5, 15, "window must be at least 16"),
+        (construct_halmos_checks, 0.5, 1025, "window must be at most 1024, got 1025"),
+        (construct_halmos_checks, 0.5, 4097, "window must be at most 4096, got 4097"),
+        (sweep_checks, [], 64, "grid is empty"),
+        (sweep_checks, [0.5, 2.0], 32, r"eps must lie in \(0, 1\], got 2.0"),
+        (sweep_checks, [0.5, 0.2, 0.5], 64, "grid value 0.5 is repeated"),
+        (sweep_checks, [0.5], 32, "window must be at least 64"),
+        (sweep_checks, [0.5], 4097, "window must be at most 4096, got 4097"),
+    ])
+    def test_arguments_are_checked_before_any_section_is_listed(
+        self, monkeypatch, entry, eps, window, message
+    ):
+        def listed(*args):
+            raise AssertionError("a section was listed")
+
+        monkeypatch.setattr(verifiers, "_section_entries", listed)
+        with pytest.raises(ValueError, match=message):
+            entry(eps, window)
 
 
 class TestExactChecks:
