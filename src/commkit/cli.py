@@ -82,15 +82,16 @@ def _emit(report: RunReport, as_json: bool) -> None:
         print(f"  note: {note}")
 
 
+def _report(args, verdicts: list[Verdict], **extra) -> RunReport:
+    """The report of args.command, whose parameters are the flags the command parsed."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("json", "command", "handler")}
+    return RunReport(args.command, parameters, verdicts, **extra)
+
+
 def _cmd_construct_halmos(args) -> RunReport:
     verdicts, row, sections = construct_halmos_checks(args.eps, args.window)
     write_json(args.out, {"eps": args.eps, "window": args.window, **sections})
-    return RunReport(
-        command="construct-halmos",
-        parameters={"eps": args.eps, "window": args.window, "out": str(args.out)},
-        verdicts=verdicts,
-        tables=[row],
-    )
+    return _report(args, verdicts, tables=[row])
 
 
 def _require_tol(tol: float) -> None:
@@ -107,50 +108,39 @@ def _cmd_factor(args) -> RunReport:
         pair = trace_zero_commutator_factors(c)
     verdicts = factorization_checks(c, pair, args.tol, args.eps)
     write_json(args.out, {"A": pair.a, "B": pair.b})
-    return RunReport(
-        command="factor",
-        parameters={"kind": args.kind, "input": str(args.input), "eps": args.eps,
-                    "out": str(args.out), "tol": args.tol},
-        verdicts=verdicts,
+    return _report(args, verdicts)
+
+
+def _cmd_popa(args) -> RunReport:
+    return _report(args, [popa_bound(args.norm_a, args.norm_b, args.eps, args.alpha)])
+
+
+def _cmd_wielandt(args) -> RunReport:
+    a, b = read_matrix(args.input_a), read_matrix(args.input_b)
+    return _report(args, [wielandt_violation_witness(a, b)])
+
+
+def _read_abx(args) -> tuple:
+    """Check --tol, then read --input-a, --input-b and --input-x."""
+    _require_tol(args.tol)
+    return tuple(read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
+
+
+def _cmd_obstructions(args) -> RunReport:
+    return _report(args, finite_dim_obstructions(*_read_abx(args), tol=args.tol))
+
+
+def _cmd_power(args) -> RunReport:
+    verdicts = power_inequality_report(
+        *_read_abx(args), n_max=args.n_max, tol=args.tol, interior=args.interior
     )
-
-
-def _cmd_verify(args) -> RunReport:
-    suite = args.suite
-    parameters: dict[str, Any] = {"suite": suite}
-    if suite == "popa":
-        verdicts = [popa_bound(args.norm_a, args.norm_b, args.eps, args.alpha)]
-        parameters.update(norm_a=args.norm_a, norm_b=args.norm_b, eps=args.eps, alpha=args.alpha)
-    elif suite == "wielandt":
-        a, b = read_matrix(args.input_a), read_matrix(args.input_b)
-        verdicts = [wielandt_violation_witness(a, b)]
-        parameters.update(input_a=args.input_a, input_b=args.input_b)
-    else:  # obstructions or power; argparse restricts the choices
-        _require_tol(args.tol)
-        a, b, x = (read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
-        parameters.update(input_a=args.input_a, input_b=args.input_b, input_x=args.input_x,
-                          tol=args.tol)
-        if suite == "obstructions":
-            verdicts = finite_dim_obstructions(a, b, x, tol=args.tol)
-        else:
-            verdicts = power_inequality_report(
-                a, b, x, n_max=args.n_max, tol=args.tol, interior=args.interior
-            )
-            parameters.update(n_max=args.n_max, interior=args.interior)
-    return RunReport(command="verify", parameters=parameters, verdicts=verdicts)
+    return _report(args, verdicts)
 
 
 def _cmd_sweep(args) -> RunReport:
-    grid = _parse_grid(args.grid)
-    rows, verdicts, slopes, notes = sweep_checks(grid, args.window)
-    report = RunReport(
-        command="sweep",
-        parameters={"grid": grid, "window": args.window, "out": str(args.out)},
-        verdicts=verdicts,
-        tables=rows,
-        slopes=slopes,
-        notes=notes,
-    )
+    args.grid = _parse_grid(args.grid)  # the report gives the grid as parsed
+    rows, verdicts, slopes, notes = sweep_checks(args.grid, args.window)
+    report = _report(args, verdicts, tables=rows, slopes=slopes, notes=notes)
     Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=2), encoding="utf-8")
     return report
 
@@ -191,16 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
         p_kind.add_argument("--out", required=True, help="output JSON path for the factor pair")
 
     p_ver = sub.add_parser("verify", help="run one verification suite")
-    p_ver.set_defaults(handler=_cmd_verify)
     suites = p_ver.add_subparsers(dest="suite", required=True)
     p_popa = suites.add_parser("popa", help="closed-form norm product bound")
     for flag in ("--norm-a", "--norm-b", "--eps"):
         p_popa.add_argument(flag, type=float, required=True)
     p_popa.add_argument("--alpha", type=float, default=1.0)
+    p_popa.set_defaults(handler=_cmd_popa)
     p_obs = suites.add_parser("obstructions", help="trace, spectral radius, idempotent checks")
     p_wie = suites.add_parser("wielandt", help="a negative entry of [A,B] - I")
     p_pow = suites.add_parser("power", help="entrywise power inequality for n = 1..n-max")
-    for p_suite, inputs in ((p_obs, "abx"), (p_wie, "ab"), (p_pow, "abx")):
+    for p_suite, inputs, handler in ((p_obs, "abx", _cmd_obstructions), (p_wie, "ab", _cmd_wielandt),
+                                     (p_pow, "abx", _cmd_power)):
+        p_suite.set_defaults(handler=handler)
         for key in inputs:
             p_suite.add_argument(f"--input-{key}", required=True, help="matrix file (JSON or CSV)")
     for p_suite in (p_obs, p_pow):

@@ -526,7 +526,7 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
     are fitted to the converged rows; the notes say why there are none, or
     how uncertain they are.  Raises ValueError, before any section is listed,
     for an empty grid, a value outside (0, 1] or repeated, or a window outside
-    [64, MAX_WINDOW].
+    [16, MAX_WINDOW], and UnconvergedError when no point converged.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -534,8 +534,6 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
         _check_eps(eps)
         if eps in grid[:k]:
             raise ValueError(f"grid value {eps} is repeated")
-    if window < 64:
-        raise ValueError("window must be at least 64")
     _check_window(window)
     rows, verdicts, notes = [], [], []
     for eps in grid:
@@ -545,6 +543,8 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
             verdicts.append(dataclasses.replace(
                 vd, claim=f"certified-popa-eps-{eps!r}", inputs={"eps": eps, "window": window}
             ))
+    if not verdicts:
+        raise UnconvergedError(f"no grid point converged: {rows[-1]['error']}")
     slopes = None
     good = [r for r in rows if r["converged"]]
     if len(good) < len(rows):

@@ -110,7 +110,7 @@ class TestConstructHalmos:
         assert not out.exists()
 
     def test_window_floor_is_16(self, tmp_path, capsys):
-        # sweep's floor of 64 is its own: it needs that window to fit slopes.
+        # The floor of every command: sweep's rows and slopes need no larger window.
         out = tmp_path / "x.json"
         assert run("construct-halmos", "--eps", 0.5, "--window", 16, "--out", out) == 0
         assert json.loads(out.read_text())["window"] == 16
@@ -285,6 +285,10 @@ class TestVerify:
         assert "error: norm_a * norm_b = 1e+200 * 1e+200 overflows" in captured.err
         assert captured.out == ""
 
+    def test_popa_negative_norm_is_input_error(self, capsys):
+        assert run("verify", "popa", "--norm-a", -1, "--norm-b", 1, "--eps", 0.5) == 2
+        assert "error: norms must be nonnegative" in capsys.readouterr().err
+
     def test_popa_needs_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
             run("verify", "popa", "--norm-a", 1)
@@ -449,8 +453,41 @@ class TestSweep:
         assert run("--json", "sweep", "--grid", "0.2,0.4", "--window", 64, "--out", out) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
 
-    def test_rejects_small_window(self, tmp_path):
-        assert run("sweep", "--grid", "0.5", "--window", 32, "--out", tmp_path / "s.json") == 2
+    def test_rejects_small_window(self, tmp_path, capsys):
+        assert run("sweep", "--grid", "0.5", "--window", 15, "--out", tmp_path / "s.json") == 2
+        assert "window must be at least 16" in capsys.readouterr().err
+
+    @staticmethod
+    def _unconverged_at(monkeypatch, failing):
+        certified = verifiers.certified_halmos_popa_check
+
+        def check(eps, window):
+            if eps in failing:
+                raise matrices.UnconvergedError(f"norm at eps={eps} did not converge")
+            return certified(eps, window)
+
+        monkeypatch.setattr(verifiers, "certified_halmos_popa_check", check)
+
+    def test_sweep_that_certifies_nothing_is_input_error(self, tmp_path, capsys, monkeypatch):
+        self._unconverged_at(monkeypatch, {0.2, 0.4})
+        out = tmp_path / "s.json"
+        assert run("sweep", "--grid", "0.2,0.4", "--window", 64, "--out", out) == 2
+        assert "no grid point converged: norm at eps=0.4 did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_point_is_marked_and_left_out(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "s.json"
+        assert run("--json", "sweep", "--grid", "0.1,0.4", "--window", 64, "--out", out) == 0
+        both = json.loads(capsys.readouterr().out)
+        self._unconverged_at(monkeypatch, {0.2})
+        assert run("--json", "sweep", "--grid", "0.1,0.2,0.4", "--window", 64, "--out", out) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tables"][1] == {"eps": 0.2, "window": 64, "converged": False,
+                                       "error": "norm at eps=0.2 did not converge"}
+        assert [r["claim"] for r in report["verdicts"]] == [
+            "certified-popa-eps-0.1", "certified-popa-eps-0.4"]
+        assert report["notes"] == ["1 grid point(s) did not converge; rows marked"]
+        assert report["slopes"] == both["slopes"]
 
     def test_rejects_oversized_window(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -515,6 +552,33 @@ class TestReportContract:
         assert proc.wait(timeout=120) == 0
         assert "Traceback" not in err and "BrokenPipeError" not in err
         assert (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["construct-halmos", "--eps", "0.5", "--window", "16", "--out", "{out}"],
+     {"eps", "window", "out"}),
+    (["sweep", "--grid", "0.2,0.4", "--window", "64", "--out", "{out}"], {"grid", "window", "out"}),
+    (["factor", "nilpotent", "--input", "{m}", "--eps", "1", "--out", "{out}"],
+     {"kind", "input", "eps", "tol", "out"}),
+    (["factor", "tracezero", "--input", "{m}", "--out", "{out}"],
+     {"kind", "input", "eps", "tol", "out"}),
+    (["verify", "popa", "--norm-a", "2", "--norm-b", "2", "--eps", "0.5"],
+     {"suite", "norm_a", "norm_b", "eps", "alpha"}),
+    (["verify", "popa", "--norm-a", "2", "--norm-b", "2", "--eps", "0.5", "--alpha", "1.5"],
+     {"suite", "norm_a", "norm_b", "eps", "alpha"}),
+    (["verify", "obstructions", "--input-a", "{m}", "--input-b", "{m}", "--input-x", "{m}"],
+     {"suite", "input_a", "input_b", "input_x", "tol"}),
+    (["verify", "wielandt", "--input-a", "{m}", "--input-b", "{m}"],
+     {"suite", "input_a", "input_b"}),
+    (["verify", "power", "--input-a", "{m}", "--input-b", "{m}", "--input-x", "{m}"],
+     {"suite", "input_a", "input_b", "input_x", "tol", "n_max", "interior"}),
+], ids=["construct-halmos", "sweep", "nilpotent", "tracezero", "popa", "popa-alpha",
+        "obstructions", "wielandt", "power"])
+def test_report_parameters_are_the_command_flags(tmp_path, capsys, argv, keys):
+    m = tmp_path / "m.csv"
+    m.write_text("0,1\n0,0\n", encoding="utf-8")
+    run("--json", *(arg.format(m=m, out=tmp_path / "o.json") for arg in argv))
+    assert set(json.loads(capsys.readouterr().out)["parameters"]) == keys
 
 
 @pytest.mark.parametrize("argv", [
@@ -620,6 +684,14 @@ class TestMalformedMatrixInput:
         assert run("factor", "nilpotent", "--input", c, "--eps", 1, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: matrix JSON data must be a flat list of numbers")
+        assert not out.exists()
+
+    def test_integer_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
+        c = tmp_path / "m.json"
+        c.write_text('{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + "]}", encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("factor", "tracezero", "--input", c, "--out", out) == 2
+        assert "error: matrix JSON data must be finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0,1_0\n0,0\n", "0,inf\n0,0\n", "0,\u0661\n0,0\n"])

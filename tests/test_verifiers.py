@@ -66,6 +66,17 @@ class TestPopaBound:
         with pytest.raises(ValueError):
             popa_bound(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("check", [popa_bound, delta_threshold])
+    @pytest.mark.parametrize("norm, message", [
+        (math.nan, "norm_a must be finite"),
+        (math.inf, "norm_a must be finite"),
+        (-1.0, "norms must be nonnegative"),
+    ])
+    def test_rejects_bad_norm(self, check, norm, message):
+        args = (norm, 1.0, 0.5) if check is popa_bound else (norm, 1.0)
+        with pytest.raises(ValueError, match=message):
+            check(*args)
+
     def test_subnormal_eps_keeps_a_finite_bound(self):
         # 1 / 1e-320 overflows; the bound is ln(1e320) / 2, about 368.4
         vd = popa_bound(20.0, 20.0, 1e-320)
@@ -355,7 +366,7 @@ class TestCommandEntries:
         (sweep_checks, [], 64, "grid is empty"),
         (sweep_checks, [0.5, 2.0], 32, r"eps must lie in \(0, 1\], got 2.0"),
         (sweep_checks, [0.5, 0.2, 0.5], 64, "grid value 0.5 is repeated"),
-        (sweep_checks, [0.5], 32, "window must be at least 64"),
+        (sweep_checks, [0.5], 15, "window must be at least 16"),
         (sweep_checks, [0.5], 4097, "window must be at most 4096, got 4097"),
     ])
     def test_arguments_are_checked_before_any_section_is_listed(
