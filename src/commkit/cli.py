@@ -103,10 +103,10 @@ def _cmd_factor(args) -> RunReport:
     _require_tol(args.tol)
     c = read_matrix(args.input)
     if args.kind == "nilpotent":
-        pair = nilpotent_commutator_factors(c, args.eps)
+        pair, eps = nilpotent_commutator_factors(c, args.eps), args.eps
     else:
-        pair = trace_zero_commutator_factors(c)
-    verdicts = factorization_checks(c, pair, args.tol, args.eps)
+        pair, eps = trace_zero_commutator_factors(c), None
+    verdicts = factorization_checks(c, pair, args.tol, eps)
     write_json(args.out, {"A": pair.a, "B": pair.b})
     return _report(args, verdicts)
 
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nil = kinds.add_parser("nilpotent", help="C = AB - BA with BA <= eps C, for a nilpotent C")
     p_nil.add_argument("--eps", type=float, required=True)
     p_tz = kinds.add_parser("tracezero", help="C = AB - BA with A = diag(1..n)")
-    p_tz.set_defaults(eps=None)
     for p_kind in (p_nil, p_tz):
         p_kind.add_argument("--input", required=True, help="matrix file (JSON or CSV)")
         p_kind.add_argument("--tol", type=float, default=1e-9)

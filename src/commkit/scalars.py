@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+__all__ = ["CoefficientOverflow", "EpsScalar"]
+
 # Coefficients must stay within the signed 64-bit range.  Anything larger
 # points at a runaway expression, not a legitimate value.
 _COEFF_LIMIT = 2**63 - 1

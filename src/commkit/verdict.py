@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+__all__ = ["Verdict"]
+
 
 @dataclass(frozen=True)
 class Verdict:

@@ -561,7 +561,7 @@ class TestReportContract:
     (["factor", "nilpotent", "--input", "{m}", "--eps", "1", "--out", "{out}"],
      {"kind", "input", "eps", "tol", "out"}),
     (["factor", "tracezero", "--input", "{m}", "--out", "{out}"],
-     {"kind", "input", "eps", "tol", "out"}),
+     {"kind", "input", "tol", "out"}),
     (["verify", "popa", "--norm-a", "2", "--norm-b", "2", "--eps", "0.5"],
      {"suite", "norm_a", "norm_b", "eps", "alpha"}),
     (["verify", "popa", "--norm-a", "2", "--norm-b", "2", "--eps", "0.5", "--alpha", "1.5"],
@@ -645,6 +645,14 @@ obstruction_triples = st.integers(1, 3).flatmap(
 
 
 class TestMalformedMatrixInput:
+    def test_truncated_json_is_input_error(self, tmp_path, capsys):
+        c = tmp_path / "m.json"
+        c.write_text('{"rows": 2, "cols": 2, "data": [0, 1,', encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("factor", "tracezero", "--input", c, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: invalid matrix JSON in")
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", [2.7, "2", True])
     def test_non_integer_dimensions_are_input_error(self, tmp_path, capsys, rows):
         c = tmp_path / "m.json"
