@@ -336,25 +336,30 @@ def _coincidences(column: Column) -> set[int]:
     return hits
 
 
-def _section_entries(op: LazyOp, m: int, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries (rows, cols, values) of the m x m section, 0-based.
+def _section_entries(
+    op: LazyOp, m: int, grid: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, values) of the m x m section at each eps of grid, 0-based.
 
     Class r of modulus M lists the columns j = M*t + r, and each label
-    alpha*t + beta the rows alpha*t + beta, with its coefficient evaluated
-    once.  Columns where two labels coincide are evaluated concretely in
-    place of their labels.  A tree that needs a modulus of m or more has one
-    column per class, and its columns 1..m are evaluated concretely instead.
+    alpha*t + beta the rows alpha*t + beta.  Columns where two labels
+    coincide are evaluated concretely in place of their labels.  A tree that
+    needs a modulus of m or more has one column per class, and its columns
+    1..m are evaluated concretely instead.  The positions come from the
+    labels and the coincidences alone, so they are those of every eps:
+    values has one row per eps of grid and one column per position, and
+    each coefficient is evaluated once per eps, eps by eps in grid order.
     No position is listed twice and every position not listed is +0.0; a
     coefficient that evaluates to zero stays listed, with its sign.
     """
-    # Entry k of values is repeated counts[k] times: once per listed position of a label.
-    rows, cols, values, counts = [_NO_INDEX], [_NO_INDEX], [], []
+    # Coefficient k is repeated counts[k] times: once per listed position of a label.
+    rows, cols, coefficients, counts = [_NO_INDEX], [_NO_INDEX], [], []
 
     def put_column(g: int) -> None:
-        col = {i - 1: value.evaluate(eps) for i, value in op.apply(g).items() if i <= m}
+        col = {i - 1: value for i, value in op.apply(g).items() if i <= m}
         rows.append(np.fromiter(col, dtype=np.intp, count=len(col)))
         cols.append(np.full(len(col), g - 1))
-        values.extend(col.values())
+        coefficients.extend(col.values())
         counts.extend([1] * len(col))
 
     try:
@@ -377,11 +382,13 @@ def _section_entries(op: LazyOp, m: int, eps: float) -> tuple[np.ndarray, np.nda
                 label_rows, label_cols = np.delete(label_rows, drop), np.delete(label_cols, drop)
             rows.append(label_rows)
             cols.append(label_cols)
-            values.append(value.evaluate(eps))
+            coefficients.append(value)
             counts.append(label_rows.size)
         for hit in hits:
             put_column(modulus * hit + r)
-    return np.concatenate(rows), np.concatenate(cols), np.repeat(np.array(values, dtype=float), counts)
+    values = np.array([[c.evaluate(eps) for c in coefficients] for eps in grid], dtype=float)
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.repeat(values.reshape(len(grid), len(coefficients)), counts, axis=1))
 
 
 def _check_eps(eps: float) -> None:
@@ -398,15 +405,16 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     never exceeds the operator's.
 
     The section is the scatter of the entries _section_entries lists from
-    the residue classes of _residue_columns; a caller that needs only the
-    nonzero entries, such as a norm certificate, takes that list instead.
+    the residue classes of _residue_columns, on the one-point grid [eps]; a
+    caller that needs only the nonzero entries, such as a norm certificate,
+    takes that list instead, for every eps of its grid at once.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("window size must be a positive integer")
     _check_eps(eps)
     if not isinstance(op, LazyOp):
         raise TypeError("op must be a LazyOp")
-    rows, cols, values = _section_entries(op, m, eps)
+    rows, cols, values = _section_entries(op, m, [eps])
     out = np.zeros((m, m))
-    out[rows, cols] = values
+    out[rows, cols] = values[0]
     return out

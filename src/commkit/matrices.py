@@ -165,21 +165,21 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _up(x: float, k: int) -> float:
-    """Upper bound on a nonnegative quantity that x computes with k roundings.
+def _up(x, k: int):
+    """Upper bound on a nonnegative quantity that x computes with k roundings, entrywise.
 
     The true value is at most x / (1 - gamma_k) <= x (1 + gamma_(k+1)); the
     factor 2 and nextafter absorb the roundings of this expression itself.
     """
-    return math.nextafter(x * (1.0 + 2.0 * _gamma(k + 1)), math.inf)
+    return np.nextafter(x * (1.0 + 2.0 * _gamma(k + 1)), np.inf)
 
 
-def _down(x: float, k: int) -> float:
-    """Lower bound on a nonnegative quantity that x computes with k roundings.
+def _down(x, k: int):
+    """Lower bound on a nonnegative quantity that x computes with k roundings, entrywise.
 
     The true value is at least x / (1 + gamma_k) >= x (1 - gamma_k).
     """
-    return max(math.nextafter(x * (1.0 - 2.0 * _gamma(k)), 0.0), 0.0)
+    return np.maximum(np.nextafter(x * (1.0 - 2.0 * _gamma(k)), 0.0), 0.0)
 
 
 def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
@@ -194,12 +194,13 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     certificate of A_k is one for the block of A, and the bracket is
     (max_k lower_k, max_k upper_k), tagged by the blocks that attain the
     maxima.  Equal blocks have equal norms, so each distinct block is
-    certified once.  A connected support is certified whole.
+    certified once, and the blocks of one shape are certified as one stack.
+    A connected support is certified whole, as a stack of one.
 
     The components come from Borůvka rounds on the dense support, and the
     blocks are gathered from A's nonzero entries.  Finite sections hold about
-    1.5 nonzeros per column; _entries_norm certifies one from its list of
-    entries alone, with the same components, blocks and bracket.
+    1.5 nonzeros per column; _entries_norm certifies a family of them from
+    their list of entries alone, with the same components, blocks and brackets.
 
     Each block's certificate comes from one eigendecomposition
     G = V diag(lam) V^T of the computed Gram matrix G = fl(A^T A), A of
@@ -233,27 +234,46 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     count, row_label, col_label = _labels(
         _boruvka_forest(support), support.any(axis=1), support.any(axis=0))
     if count == 1:
-        return _bracket(1, [a], rel_tol)
-    rows, cols = np.divmod(np.flatnonzero(support), a.shape[1])
-    return _bracket(count, _component_blocks(row_label, col_label, rows, cols, a[rows, cols]),
-                    rel_tol)
+        stacks = [(a[None], np.arange(1)[:, None])]
+    else:
+        rows, cols = np.divmod(np.flatnonzero(support), a.shape[1])
+        stacks = _component_blocks(row_label, col_label, rows, cols, a[None, rows, cols])
+    ((cert,),) = _bracket([(count, 1, stacks, rel_tol)])
+    if isinstance(cert, UnconvergedError):
+        raise cert
+    return cert
 
 
-def _entries_norm(shape: tuple[int, int], entries, rel_tol: float) -> NormCertificate:
-    """operator_norm of the matrix of ``shape`` whose entries are listed.
+def _entries_norm(families) -> list[list[NormCertificate | UnconvergedError]]:
+    """operator_norm of each matrix of each family whose entries are listed.
 
-    entries is (rows, cols, values), 0-based, with no position listed twice
-    and +0.0 at every position not listed; zero values may be listed.  The
-    support components come from hooking the listed nonzero entries, and
-    the blocks are gathered from the list, so the m x n array is built only
-    when the support is connected.  The certificate equals operator_norm of
-    the scattered matrix, components included.
+    A family is (shape, entries, rel_tol), its matrices of that shape.
+    entries is (rows, cols, values), 0-based: values holds one row per
+    matrix and one column per listed position.  No position is listed
+    twice, every position not listed is +0.0 in every matrix, and zero
+    values may be listed.  The support components come once per family,
+    from hooking the positions that are nonzero in some matrix, and the
+    blocks are gathered from the list, so the m x n arrays are built only
+    when that support is connected.  Each matrix gets the bracket of its
+    blocks, or the UnconvergedError of one wider than rel_tol; a matrix
+    whose nonzero positions are its family's, and so each member of a
+    family of one, gets what operator_norm gives its scattered matrix,
+    components included.  The blocks of all families are certified
+    together, and a block whose norm exceeds the double range raises
+    DynamicRangeError for all of them.
     """
+    return _bracket([(*_family_blocks(shape, entries), rel_tol)
+                     for shape, entries, rel_tol in families])
+
+
+def _family_blocks(shape: tuple[int, int], entries) -> tuple[int, int, list]:
+    """(count, k, stacks): a listed family's component count, size and distinct blocks."""
     rows, cols, values = entries
     if not np.isfinite(values).all():
         raise ValueError("matrix entries must be finite")
-    edge = values != 0.0
+    edge = (values != 0.0).any(axis=0)
     m, n = shape
+    k = len(values)
     u, v = rows[edge], cols[edge]
     parent = np.arange(m + n)
     _hook(parent, u, v + m)
@@ -261,83 +281,130 @@ def _entries_norm(shape: tuple[int, int], entries, rel_tol: float) -> NormCertif
     live_rows[u] = live_cols[v] = True
     count, row_label, col_label = _labels(parent, live_rows, live_cols)
     if count == 1:
-        whole = np.zeros(shape)
-        whole[rows, cols] = values
-        return _bracket(1, [whole], rel_tol)
-    return _bracket(count, _component_blocks(row_label, col_label, u, v, values[edge]), rel_tol)
+        whole = np.zeros((k, m, n))
+        whole[:, rows, cols] = values
+        return 1, k, [(whole, np.arange(k)[:, None])]
+    return count, k, _component_blocks(row_label, col_label, u, v, values[:, edge])
 
 
-def _bracket(count: int, blocks: list[np.ndarray], rel_tol: float) -> NormCertificate:
-    """The bracket of operator_norm from the distinct blocks of its count components.
+def _bracket(jobs: list[tuple]) -> list[list[NormCertificate | UnconvergedError]]:
+    """The bracket of operator_norm for each matrix of each job (count, k, stacks, rel_tol).
 
-    The one check of rel_tol, NaN refused; no blocks is the zero matrix, norm exactly 0.
+    A job's stacks are as _component_blocks gives them for its k matrices,
+    split into count components.  The stacks of one block shape from every
+    job go to _dense_certificate as one.  Each matrix's bracket is the
+    largest lower and the largest upper bound over its nonzero blocks, each
+    tagged by the first block, in stack order, that attains it; a matrix
+    with no nonzero block is the zero matrix, norm exactly 0.  The one
+    check of rel_tol, NaN refused: a matrix whose bracket is wider gets its
+    UnconvergedError in place of a certificate.
     """
-    if not rel_tol > 0.0:
+    if not all(rel_tol > 0.0 for *_, rel_tol in jobs):
         raise ValueError("rel_tol must be positive")
-    if not blocks:
-        return NormCertificate(0.0, 0.0, "exact", "exact")
-    certs = [_dense_certificate(block) for block in blocks]
-    lower = max(certs, key=lambda c: c.lower)
-    upper = max(certs, key=lambda c: c.upper)
-    cert = NormCertificate(lower.lower, upper.upper, lower.lower_method, upper.upper_method, count)
-    if cert.upper - cert.lower > rel_tol * cert.upper:
-        raise UnconvergedError(
-            f"operator norm bracket [{cert.lower}, {cert.upper}] is wider than "
-            f"rel_tol={rel_tol} after rounding",
-            lower=cert.lower,
-            upper=cert.upper,
-        )
-    return cert
+    stacks = [stack for _, _, job_stacks, _ in jobs for stack in job_stacks]
+    tables = [np.empty(0)] * len(stacks)  # per stack: lower, upper, by_column, by_cap
+    for shape in sorted({blocks.shape[1:] for blocks, _ in stacks}):
+        mine = [n for n, (blocks, _) in enumerate(stacks) if blocks.shape[1:] == shape]
+        group = np.concatenate([stacks[n][0] for n in mine])
+        lower, upper, by_column, by_cap = _dense_certificate(group)
+        empty = ~group.any(axis=(1, 2))
+        lower[empty] = upper[empty] = -np.inf  # a zero block leaves its matrices' brackets alone
+        table, start = np.stack([lower, upper, by_column, by_cap]), 0
+        for n in mine:
+            blocks, index = stacks[n]
+            tables[n] = table[:, start + index]
+            start += len(blocks)
+    zero = NormCertificate(0.0, 0.0, "exact", "exact")
+    results, done = [], 0
+    for count, k, job_stacks, rel_tol in jobs:
+        parts, done = tables[done:done + len(job_stacks)], done + len(job_stacks)
+        if not parts:
+            results.append([zero] * k)
+            continue
+        lower, upper, by_column, by_cap = np.concatenate(parts, axis=2)
+        rows = np.arange(k)
+        i, j = lower.argmax(axis=1), upper.argmax(axis=1)
+        certs = []
+        for lo, hi, column, cap in zip(*(x.tolist() for x in (
+                lower[rows, i], upper[rows, j], by_column[rows, i], by_cap[rows, j]))):
+            if hi == -np.inf:
+                certs.append(zero)
+                continue
+            cert = NormCertificate(lo, hi, "column-norm" if column else "eigenvector",
+                                   "norm-cap" if cap else "weyl-enclosure", count)
+            if cert.upper - cert.lower > rel_tol * cert.upper:
+                cert = UnconvergedError(
+                    f"operator norm bracket [{cert.lower}, {cert.upper}] is wider than "
+                    f"rel_tol={rel_tol} after rounding",
+                    lower=cert.lower,
+                    upper=cert.upper,
+                )
+            certs.append(cert)
+        results.append(certs)
+    return results
 
 
-def _dense_certificate(a: np.ndarray) -> NormCertificate:
-    """The eigendecomposition certificate of operator_norm for a nonzero a.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of the 2-D x, summed as np.linalg.norm sums a vector: by its dot."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
-    The bracket is returned however wide it is.
+
+def _dense_certificate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The eigendecomposition certificate of operator_norm for each block of the stack a.
+
+    a has shape (k, m, n).  Returns the arrays (lower, upper, by_column,
+    by_cap), one entry per block, each bracket however wide it is:
+    by_column marks a lower bound from the best column norm rather than the
+    eigenvector, and by_cap an upper bound from the norm cap rather than the
+    Weyl enclosure.  Every reduction runs over one block at a time, in the
+    order it takes for that block alone, so a block gets the same bits in
+    any stack.
     """
-    top_entry = float(np.abs(a).max())
-    exponent = math.frexp(top_entry)[1]
-    s = np.ldexp(a, -exponent)
-    m, n = s.shape
-    col_sq = (s * s).sum(axis=0)
-    cap2 = min(
-        _up(float(col_sq.sum()), m * n),
-        _up(float(np.abs(s).sum(axis=0).max() * np.abs(s).sum(axis=1).max()), m + n),
+    k, m, n = a.shape
+    exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
+    s = np.ldexp(a, -exponent[:, None, None])
+    col_sq = (s * s).sum(axis=1)
+    abs_s = np.abs(s)
+    cap2 = np.minimum(
+        _up(col_sq.sum(axis=1), m * n),
+        _up(abs_s.sum(axis=1).max(axis=1) * abs_s.sum(axis=2).max(axis=1), m + n),
     )
-    cap = _up(math.sqrt(cap2), 1)
-    column = _down(math.sqrt(float(col_sq.max())), m + 1)
+    cap = _up(np.sqrt(cap2), 1)
+    column = _down(np.sqrt(col_sq.max(axis=1)), m + 1)
 
-    gram = s.T @ s
+    gram = s.transpose(0, 2, 1) @ s
     lam, vecs = np.linalg.eigh(gram)
-    top = vecs[:, -1]
-    ratio = float(np.linalg.norm(s @ top) / np.linalg.norm(top))
+    top = vecs[:, :, -1:]
+    ratio = _norms((s @ top)[:, :, 0]) / _norms(top[:, :, 0])
     eigenvector = _down(ratio, m + n + 3) - _up(_gamma(n + 1) * cap, 1)
-    eigenvector = math.nextafter(eigenvector, -math.inf)
+    eigenvector = np.nextafter(eigenvector, -np.inf)
 
-    ortho = vecs.T @ vecs
-    frob_v2 = _up(float(np.trace(ortho)), 2 * n)
-    ortho[np.diag_indices(n)] -= 1.0
-    eta = _up(float(np.linalg.norm(ortho)), n * n + 2) + _gamma(n + 2) * frob_v2
-    resid = (vecs * lam) @ vecs.T
+    ortho = vecs.transpose(0, 2, 1) @ vecs
+    frob_v2 = _up(np.trace(ortho, axis1=1, axis2=2), 2 * n)
+    ortho[:, range(n), range(n)] -= 1.0
+    eta = _up(_norms(ortho.reshape(k, -1)), n * n + 2) + _gamma(n + 2) * frob_v2
+    resid = (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1)
     np.subtract(gram, resid, out=resid)
     weyl2 = (
-        max(float(lam[-1]), 0.0) * (1.0 + eta)
-        + _up(float(np.linalg.norm(resid)), n * n + 2)
-        + _gamma(n + 2) * float(np.abs(lam).max()) * frob_v2
+        np.maximum(lam[:, -1], 0.0) * (1.0 + eta)
+        + _up(_norms(resid.reshape(k, -1)), n * n + 2)
+        + _gamma(n + 2) * np.abs(lam).max(axis=1) * frob_v2
         + _gamma(m + 1) * cap2
     )
-    weyl = _up(math.sqrt(_up(weyl2, 8)), 1)
+    weyl = _up(np.sqrt(_up(weyl2, 8)), 1)
 
-    lower, lower_method = max((eigenvector, "eigenvector"), (column, "column-norm"))
-    upper, upper_method = min((weyl, "weyl-enclosure"), (cap, "norm-cap"))
-    try:
-        lo, hi = math.ldexp(lower, exponent), math.ldexp(upper, exponent)
-    except OverflowError:
-        raise DynamicRangeError("operator norm exceeds the double range") from None
+    by_column = column > eigenvector  # a tie goes to the eigenvector bound
+    by_cap = cap <= weyl  # and to the norm cap
+    lower, upper = np.where(by_column, column, eigenvector), np.where(by_cap, cap, weyl)
+    with np.errstate(over="ignore"):
+        lo, hi = np.ldexp(lower, exponent), np.ldexp(upper, exponent)
+    if np.isinf(hi).any():  # lower <= upper, so lo overflows only with hi
+        raise DynamicRangeError("operator norm exceeds the double range")
     # ldexp rounds to nearest only where its result is subnormal; undoing it is exact.
-    lo = lo if math.ldexp(lo, -exponent) <= lower else math.nextafter(lo, 0.0)
-    hi = hi if math.ldexp(hi, -exponent) >= upper else math.nextafter(hi, math.inf)
-    return NormCertificate(lo, hi, lower_method, upper_method)
+    lo = np.where(np.ldexp(lo, -exponent) <= lower, lo, np.nextafter(lo, 0.0))
+    hi = np.where(np.ldexp(hi, -exponent) >= upper, hi, np.nextafter(hi, np.inf))
+    return lo, hi, by_column, by_cap
 
 
 def _hook(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
@@ -416,27 +483,34 @@ def _ranks(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _component_blocks(
     row_label: np.ndarray, col_label: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     values: np.ndarray,
-) -> list[np.ndarray]:
-    """The distinct component blocks, gathered from the nonzero entries of a split matrix.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The distinct component blocks of a family of split matrices, one stack per shape.
 
-    Each block keeps its rows and columns in their original order and holds
-    +0.0 where no entry is listed.  Blocks come grouped by shape, shapes in
-    increasing order and, within a shape, components in label order; each
-    distinct block is kept at its first appearance.
+    values holds the family's entries at the nonzero positions (rows, cols),
+    one row per matrix.  Each block keeps its rows and columns in their
+    original order and holds +0.0 where no entry is listed.  For each shape
+    (p, q), in increasing order, comes (blocks, index): blocks is the
+    (b, p, q) stack of the distinct blocks of that shape across the whole
+    family, and index the (k, c) array that gives, for each of the k
+    matrices, the position in blocks of each of its c components of that
+    shape, in label order.  Byte-identical blocks have identical
+    certificates, so np.unique on a byte view keeps one of each.
     """
     row_sizes, row_rank = _ranks(row_label)
     col_sizes, col_rank = _ranks(col_label)
     comp = row_label[rows]  # an entry's row and column lie in one component
-    blocks = []
+    k = len(values)
+    stacks = []
     for p, q in sorted(set(zip(row_sizes.tolist(), col_sizes.tolist()))):
         same = (row_sizes == p) & (col_sizes == q)
         slot = np.cumsum(same) - 1  # position of each component of this shape in the stack
-        stack = np.zeros((int(slot[-1]) + 1, p, q))
+        flat = np.zeros((k, int(slot[-1]) + 1, p * q))
         mine = same[comp]
-        stack[slot[comp[mine]], row_rank[rows[mine]], col_rank[cols[mine]]] = values[mine]
-        # Byte-identical blocks have identical certificates: keep one of each.
-        blocks.extend({block.tobytes(): block for block in stack}.values())
-    return blocks
+        flat[:, slot[comp[mine]], row_rank[rows[mine]] * q + col_rank[cols[mine]]] = values[:, mine]
+        distinct, index = np.unique(flat.view(np.dtype((np.void, 8 * p * q))), return_inverse=True)
+        # The shape of the inverse differs between numpy versions; its order does not.
+        stacks.append((distinct.view(float).reshape(-1, p, q), index.reshape(k, -1)))
+    return stacks
 
 
 # -- file formats -----------------------------------------------------------

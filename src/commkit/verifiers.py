@@ -26,7 +26,6 @@ from .matrices import (
     entrywise_leq,
     identity,
     max_abs,
-    operator_norm,
 )
 from .verdict import Verdict
 
@@ -420,7 +419,7 @@ def nil_index_three_check(pair: HalmosPair) -> Verdict:
 
 # Largest finite section the certified check takes.  Sections are certified
 # from their listed entries, about 1.5 per column, with no dense w x w array:
-# `sweep --grid 0.1,0.4 --window 4096` peaks at 33 MiB resident (ru_maxrss of
+# `sweep --grid 0.1,0.4 --window 4096` peaks at 32 MiB resident (ru_maxrss of
 # a child process, numpy 2.4 with OpenBLAS), of which importing commkit takes
 # 29 MiB; it peaked at 190 MiB with dense sections.
 MAX_WINDOW = 4096
@@ -456,46 +455,81 @@ def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
 
     Each window x window section of halmos_pair_scaled() at eps is certified
     from its listed entries (lazyops._section_entries), and no dense section
-    is built.  halmos_nilpotent_majorant refuses eps outside (0, 1] and then
-    _check_window a window outside [16, MAX_WINDOW], before any section is listed.
+    is built.  Raises ValueError for eps outside (0, 1] and then for a window
+    outside [16, MAX_WINDOW], before any section is listed, and the
+    UnconvergedError of a norm that does not converge.
     """
-    majorant = halmos_nilpotent_majorant(eps)
+    _check_eps(eps)
     _check_window(window)
-    pair = halmos_pair_scaled()
-    lower_a, lower_b, lower_n = (
-        _entries_norm((window, window), _section_entries(op, window, eps), SECTION_REL_TOL).lower
-        for op in (pair.a, pair.b, pair.nilpotent)
-    )
-    upper_n = operator_norm(majorant, rel_tol=1e-12).upper
-    vd = popa_bound(lower_a, lower_b, upper_n)
-    return dataclasses.replace(
-        vd,
-        claim="certified-popa-scaled-pair",
-        inputs={
-            "eps": eps,
-            "window": window,
-            "norm_a_lower": lower_a,
-            "norm_b_lower": lower_b,
-            "norm_n_lower": lower_n,
-            "norm_n_upper": upper_n,
-            "bound": -math.log(upper_n) / 2.0,  # the bound popa_bound compared against
-        },
-    )
+    (vd,) = _popa_checks([eps], window)
+    if isinstance(vd, UnconvergedError):
+        raise vd
+    return vd
 
 
-def _norm_row(eps: float, window: int) -> tuple[dict, Verdict | None]:
-    """certified_halmos_popa_check at one point as a table row, and its verdict.
+def _popa_checks(grid: list[float], window: int) -> list[Verdict | UnconvergedError]:
+    """certified_halmos_popa_check at each eps of grid, or the UnconvergedError it raises there.
 
-    A norm that does not converge marks the row, and the verdict is None.
+    Each operator's sections are listed at every eps at once, as one family,
+    and the majorants make a fourth; the four are certified in one pass, the
+    blocks of each shape as one stack.  Any other error is raised as the
+    points, taken one at a time in grid order, first meet it.
     """
-    row: dict = {"eps": eps, "window": window, "converged": True}
     try:
-        vd = certified_halmos_popa_check(eps, window)
-    except UnconvergedError as exc:
-        row.update(converged=False, error=str(exc))
-        return row, None
-    row.update(vd.inputs, margin=vd.margin)
-    return row, vd
+        return _popa_batch(grid, window)
+    except (OverflowError, DynamicRangeError):
+        for eps in grid:
+            _popa_batch([eps], window)
+        raise
+
+
+def _popa_batch(grid: list[float], window: int) -> list[Verdict | UnconvergedError]:
+    """The results of _popa_checks, from one _entries_norm pass over the whole grid."""
+    pair = halmos_pair_scaled()
+    families = [((window, window), _section_entries(op, window, grid), SECTION_REL_TOL)
+                for op in (pair.a, pair.b, pair.nilpotent)]
+    majorants = np.array([halmos_nilpotent_majorant(eps) for eps in grid])
+    every_entry = (*np.indices((4, 4)).reshape(2, -1), majorants.reshape(len(grid), -1))
+    certs = _entries_norm(families + [((4, 4), every_entry, 1e-12)])
+    results = []
+    for eps, point in zip(grid, zip(*certs)):
+        failed = [cert for cert in point if isinstance(cert, UnconvergedError)]
+        if failed:  # the first norm that did not converge, in the order a, b, N, majorant
+            results.append(failed[0])
+            continue
+        norm_a, norm_b, norm_n, majorant = point
+        vd = popa_bound(norm_a.lower, norm_b.lower, majorant.upper)
+        results.append(dataclasses.replace(
+            vd,
+            claim="certified-popa-scaled-pair",
+            inputs={
+                "eps": eps,
+                "window": window,
+                "norm_a_lower": norm_a.lower,
+                "norm_b_lower": norm_b.lower,
+                "norm_n_lower": norm_n.lower,
+                "norm_n_upper": majorant.upper,
+                "bound": -math.log(majorant.upper) / 2.0,  # what popa_bound compared against
+            },
+        ))
+    return results
+
+
+def _norm_rows(grid: list[float], window: int) -> list[tuple[dict, Verdict | None]]:
+    """certified_halmos_popa_check at each eps of grid as a table row, and its verdict.
+
+    A norm that does not converge marks its point's row, and that verdict is None.
+    """
+    rows = []
+    for eps, vd in zip(grid, _popa_checks(grid, window)):
+        row: dict = {"eps": eps, "window": window, "converged": True}
+        if isinstance(vd, UnconvergedError):
+            row.update(converged=False, error=str(vd))
+            vd = None
+        else:
+            row.update(vd.inputs, margin=vd.margin)
+        rows.append((row, vd))
+    return rows
 
 
 def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dict, dict]:
@@ -511,7 +545,7 @@ def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dic
     _check_window(window)
     if window > MAX_PAYLOAD_WINDOW:
         raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {window}")
-    row, _ = _norm_row(eps, window)
+    ((row, _),) = _norm_rows([eps], window)
     pair = halmos_pair_scaled()
     sections = {key: compress(op, window, eps)
                 for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))}
@@ -522,7 +556,8 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
     """What sweep reports over an eps grid: (rows, verdicts, slopes, notes).
 
     Each point gives a row and, if its norms converged, the verdict of
-    certified_halmos_popa_check, claimed as certified-popa-eps-<eps>.  Slopes
+    certified_halmos_popa_check, claimed as certified-popa-eps-<eps>; the
+    points are certified as one batch (_norm_rows).  Slopes
     are fitted to the converged rows; the notes say why there are none, or
     how uncertain they are.  Raises ValueError, before any section is listed,
     for an empty grid, a value outside (0, 1] or repeated, or a window outside
@@ -536,8 +571,7 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
             raise ValueError(f"grid value {eps} is repeated")
     _check_window(window)
     rows, verdicts, notes = [], [], []
-    for eps in grid:
-        row, vd = _norm_row(eps, window)
+    for eps, (row, vd) in zip(grid, _norm_rows(grid, window)):
         rows.append(row)
         if vd is not None:
             verdicts.append(dataclasses.replace(

@@ -459,35 +459,63 @@ class TestSweep:
 
     @staticmethod
     def _unconverged_at(monkeypatch, failing):
-        certified = verifiers.certified_halmos_popa_check
+        """Double the upper bound of every block that holds eps**-3 for an eps in failing.
 
-        def check(eps, window):
-            if eps in failing:
-                raise matrices.UnconvergedError(f"norm at eps={eps} did not converge")
-            return certified(eps, window)
+        Only the section of a at that eps has such a block, so only that
+        point's bracket is too wide.
+        """
+        certify = matrices._dense_certificate
+        marks = [eps**-3 for eps in failing]
 
-        monkeypatch.setattr(verifiers, "certified_halmos_popa_check", check)
+        def widened(blocks):
+            lower, upper, *methods = certify(blocks)
+            hit = np.isin(blocks, marks).any(axis=(1, 2))
+            return (lower, np.where(hit, 2.0 * upper, upper), *methods)
+
+        monkeypatch.setattr(matrices, "_dense_certificate", widened)
 
     def test_sweep_that_certifies_nothing_is_input_error(self, tmp_path, capsys, monkeypatch):
         self._unconverged_at(monkeypatch, {0.2, 0.4})
         out = tmp_path / "s.json"
         assert run("sweep", "--grid", "0.2,0.4", "--window", 64, "--out", out) == 2
-        assert "no grid point converged: norm at eps=0.4 did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: no grid point converged: operator norm bracket [")
+        assert "is wider than rel_tol=1e-06 after rounding" in err
         assert not out.exists()
 
     def test_unconverged_point_is_marked_and_left_out(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "s.json"
         assert run("--json", "sweep", "--grid", "0.1,0.4", "--window", 64, "--out", out) == 0
         both = json.loads(capsys.readouterr().out)
+        assert run("--json", "sweep", "--grid", "0.1,0.2,0.4", "--window", 64, "--out", out) == 0
+        unpatched = json.loads(capsys.readouterr().out)
         self._unconverged_at(monkeypatch, {0.2})
         assert run("--json", "sweep", "--grid", "0.1,0.2,0.4", "--window", 64, "--out", out) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["tables"][1] == {"eps": 0.2, "window": 64, "converged": False,
-                                       "error": "norm at eps=0.2 did not converge"}
+        failed = report["tables"][1]
+        assert failed.pop("error").startswith("operator norm bracket [")
+        assert failed == {"eps": 0.2, "window": 64, "converged": False}
+        # The other points of the batch keep their rows and verdicts exactly.
+        assert report["tables"][0::2] == unpatched["tables"][0::2]
+        assert report["verdicts"] == unpatched["verdicts"][0::2]
         assert [r["claim"] for r in report["verdicts"]] == [
             "certified-popa-eps-0.1", "certified-popa-eps-0.4"]
         assert report["notes"] == ["1 grid point(s) did not converge; rows marked"]
         assert report["slopes"] == both["slopes"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1e-120,1e-110", "EpsScalar(1*eps**-3) at eps=1e-120 is outside the double range"),
+        ("1e-110,1e-120", "EpsScalar(1*eps**-3) at eps=1e-110 is outside the double range"),
+        # The first point's sections list, but the product of its norms overflows.
+        ("2.5e-103,1e-110",
+         "norm_a * norm_b = 6.399999999999996e+307 * 6.399999999999997e+307 overflows"),
+    ])
+    def test_grid_that_overflows_names_the_first_point_that_does(self, tmp_path, capsys, grid,
+                                                                 message):
+        out = tmp_path / "s.json"
+        assert run("sweep", "--grid", grid, "--window", 16, "--out", out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_oversized_window(self, tmp_path, capsys):
         out = tmp_path / "s.json"

@@ -329,10 +329,11 @@ class TestCompress:
     @pytest.mark.parametrize("op", [I + V, I - V, W @ W, functools.reduce(operator.matmul, [VS] * 13)])
     @pytest.mark.parametrize("m", [1, 9, 64])
     def test_entries_list_each_position_once(self, op, m):
-        rows, cols, values = _section_entries(op, m, 1.0)
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == cols.size == values.size
+        rows, cols, values = _section_entries(op, m, [1.0])
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == cols.size
+        assert values.shape == (1, rows.size)
         section = np.zeros((m, m))
-        section[rows, cols] = values
+        section[rows, cols] = values[0]
         assert np.array_equal(section, _column_loop(op, m, 1.0))
 
     @pytest.mark.parametrize("sign, corner", [(1, 2.0), (-1, 0.0)])

@@ -30,6 +30,7 @@ from commkit.matrices import (
     commutator,
     entrywise_leq,
     identity,
+    NormCertificate,
     matrix_from_json_dict,
     operator_norm,
     read_matrix,
@@ -238,7 +239,7 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="rel_tol"):
             operator_norm(a, rel_tol=math.nan)
         with pytest.raises(ValueError, match="rel_tol"):
-            _entries_norm(a.shape, _entries(a), math.nan)
+            _family_norm(a.shape, _entries(a), math.nan)
 
     def test_norm_beyond_the_double_range_is_refused(self):
         with pytest.raises(DynamicRangeError, match="double range"):
@@ -323,7 +324,8 @@ class TestOperatorNormSvdOracle:
         # The sweep's certificate, from the listed entries, is the dense one, tags and all.
         for window in (64, 512, 2048):
             dense = cert if window == 512 else operator_norm(compress(op, window, eps))
-            assert _entries_norm((window, window), _section_entries(op, window, eps), 1e-10) == dense
+            entries = _section_entries(op, window, [eps])
+            assert _family_norm((window, window), entries, 1e-10) == [dense]
 
     def test_b_section_window_2048_is_eps_cubed(self):
         # |b| = eps**-3 on the section; SVD overshoots it by 2e-15 relative.
@@ -354,7 +356,21 @@ def _distinct_blocks(section):
     """operator_norm's distinct component blocks of section."""
     _, row_label, col_label = _split(section)
     rows, cols = np.nonzero(section)
-    return _component_blocks(row_label, col_label, rows, cols, section[rows, cols])
+    stacks = _component_blocks(row_label, col_label, rows, cols, section[None, rows, cols])
+    return [block for blocks, _ in stacks for block in blocks]
+
+
+def _family_norm(shape, entries, rel_tol):
+    """_entries_norm of the one family (shape, entries, rel_tol)."""
+    (certs,) = _entries_norm([(shape, entries, rel_tol)])
+    return certs
+
+
+def _certificate(block):
+    """The stacked certificate of block alone, as a NormCertificate."""
+    lower, upper, by_column, by_cap = (x[0].item() for x in _dense_certificate(block[None]))
+    return NormCertificate(lower, upper, "column-norm" if by_column else "eigenvector",
+                           "norm-cap" if by_cap else "weyl-enclosure")
 
 
 class TestOperatorNormExactOracle:
@@ -374,7 +390,7 @@ class TestOperatorNormExactOracle:
         assert len(blocks) >= 4 * len(grid)
         for block in blocks.values():
             assert sum(block.shape) <= 8
-            cert = _dense_certificate(block)
+            cert = _certificate(block)
             assert bracket_contains_norm(block, cert.lower, cert.upper), block
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4, 0.5, 1.0])
@@ -388,8 +404,8 @@ class TestOperatorNormExactOracle:
     @example(np.array([[-5e-324], [5e-324], [5e-324]]))  # norm sqrt(3) * 5e-324, between subnormals
     @example(np.array([[0.0, 5e-324, -3.44035e-318]]))  # norm a hair above a subnormal
     def test_extreme_blocks(self, a):
-        for certify in (operator_norm, _dense_certificate):
-            if certify is _dense_certificate and not a.any():
+        for certify in (operator_norm, _certificate):
+            if certify is _certificate and not a.any():
                 continue  # the dense certificate takes a nonzero matrix
             try:
                 cert = certify(a)
@@ -446,7 +462,7 @@ class TestOperatorNormExactOracle:
 
         monkeypatch.setattr(np.linalg, "eigh", inaccurate)
         for block in blocks:
-            cert = _dense_certificate(block)
+            cert = _certificate(block)
             assert bracket_contains_norm(block, cert.lower, cert.upper), block
 
 
@@ -513,7 +529,7 @@ class TestOperatorNormComponents:
             m = np.zeros((9, 7))
             m[2:6, 1:4] = rng.uniform(0.5, 1.0, (4, 3))
         cert = operator_norm(m)
-        assert cert == _dense_certificate(as_matrix(m))
+        assert cert == _certificate(as_matrix(m))
         assert cert.components == 1
 
     def test_zero_matrix_has_one_component(self):
@@ -541,15 +557,15 @@ class TestOperatorNormComponents:
         count, row_label, col_label = _split(chain)
         assert count == 2
         rows, cols = np.nonzero(chain)
-        blocks = _component_blocks(row_label, col_label, rows, cols, chain[rows, cols])
-        assert sorted(b.shape for b in blocks) == [(201, 201), (311, 311)]
+        stacks = _component_blocks(row_label, col_label, rows, cols, chain[None, rows, cols])
+        assert [blocks.shape for blocks, _ in stacks] == [(1, 201, 201), (1, 311, 311)]
 
 
 def _entries(a):
-    """Every position of a as a listed entry, zeros included, in a shuffled order."""
+    """Every position of a as a listed entry, zeros included, in a shuffled order: a family of one."""
     rows, cols = np.indices(a.shape)
     order = np.random.default_rng(a.size).permutation(a.size)
-    return rows.ravel()[order], cols.ravel()[order], a.ravel()[order]
+    return rows.ravel()[order], cols.ravel()[order], a.ravel()[None, order]
 
 
 class TestEntriesNorm:
@@ -569,32 +585,132 @@ class TestEntriesNorm:
         a[rng.random((m, n)) < 0.1] = 0.0
         rows, cols, values = _entries(a)
         listed = rng.random(a.size) < 0.5  # any subset that holds every nonzero
-        listed |= values.view(np.int64) != 0
+        listed |= values[0].view(np.int64) != 0
         expected = operator_norm(a)
-        assert _entries_norm((m, n), (rows[listed], cols[listed], values[listed]), 1e-10) == expected
+        entries = rows[listed], cols[listed], values[:, listed]
+        assert _family_norm((m, n), entries, 1e-10) == [expected]
 
     def test_permuted_block_diagonal_with_repeats(self):
         rng = np.random.default_rng(11)
         blocks = [rng.uniform(0.5, 2.0, (p, q)) for p, q in [(1, 1), (2, 3), (3, 2), (1, 4)]]
         a = _permuted_block_diagonal(blocks + blocks[:2], 3, 1, rng)
-        cert = _entries_norm(a.shape, _entries(a), 1e-10)
+        (cert,) = _family_norm(a.shape, _entries(a), 1e-10)
         assert cert == operator_norm(a)
         assert cert.components == 6
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):
-            _entries_norm((2, 2), (np.array([0]), np.array([1]), np.array([math.inf])), 1e-10)
+            _family_norm((2, 2), (np.array([0]), np.array([1]), np.array([[math.inf]])), 1e-10)
 
     def test_unconverged_carries_the_bracket(self):
         a = _permuted_block_diagonal(
             [np.random.default_rng(3).standard_normal((6, 6)), np.identity(2)], 0, 0,
             np.random.default_rng(4),
         )
-        with pytest.raises(UnconvergedError) as err:
-            _entries_norm(a.shape, _entries(a), 1e-17)
+        (err,) = _family_norm(a.shape, _entries(a), 1e-17)
         with pytest.raises(UnconvergedError) as dense:
             operator_norm(a, rel_tol=1e-17)
-        assert err.value.data == dense.value.data
+        assert isinstance(err, UnconvergedError)
+        assert (str(err), err.data) == (str(dense.value), dense.value.data)
+
+
+def _random_stack(rng, k, p, q, kind):
+    """k random p x q blocks: signed, with signed zeros, with zero rows, or subnormal."""
+    stack = rng.standard_normal((k, p, q)) * (rng.random((k, p, q)) < 0.8)
+    if kind == "signed-zeros":
+        stack[rng.random((k, p, q)) < 0.3] = -0.0
+    elif kind == "zero-rows":
+        stack[:, rng.random(p) < 0.4, :] = 0.0
+    elif kind == "subnormal":
+        stack = np.ldexp(stack, -1060)
+    stack[:, 0, 0] = 1.0 if kind != "subnormal" else 5e-324  # no zero block
+    return stack
+
+
+class TestStackedCertificate:
+    """The certificate of a stack is that of each block alone, and exact-oracle sound."""
+
+    @pytest.mark.parametrize("kind", ["signed", "signed-zeros", "zero-rows", "subnormal"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stack_is_each_block_alone(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        p, q = (int(d) for d in rng.integers(1, 5, 2))
+        stack = _random_stack(rng, int(rng.integers(2, 7)), p, q, kind)
+        lower, upper, by_column, by_cap = _dense_certificate(stack)
+        for i, block in enumerate(stack):
+            alone = _dense_certificate(block[None])
+            assert np.array([lower[i], upper[i]]).tobytes() == np.concatenate(alone[:2]).tobytes()
+            assert (by_column[i], by_cap[i]) == (alone[2][0], alone[3][0])
+            assert math.copysign(1.0, lower[i]) == 1.0
+            assert bracket_contains_norm(block, lower[i], upper[i]), block
+
+    def test_signed_zeros_are_distinct_blocks(self):
+        # Distinct bytes are certified apart: [1, -0.0] and [1, 0.0] stay two blocks.
+        family = np.array([[1.0, 2.0], [1.0, -0.0], [1.0, 0.0], [1.0, 2.0]])
+        (stack,) = _component_blocks(np.array([0]), np.array([0, 0]), np.array([0, 0]),
+                                     np.array([0, 1]), family)
+        blocks, index = stack
+        assert blocks.shape == (3, 1, 2)
+        assert sorted(blocks[:, 0, 1].view(np.int64).tolist()) == sorted(
+            np.array([2.0, -0.0, 0.0]).view(np.int64).tolist())
+        assert index[0, 0] == index[3, 0] and len(set(index[:3, 0].tolist())) == 3
+        for row, i in zip(family, index[:, 0]):
+            assert np.array_equal(blocks[i, 0].view(np.int64), row.view(np.int64))
+
+
+class TestEntriesNormFamily:
+    """A family of listed matrices gets each matrix's own certificate."""
+
+    def test_each_row_is_its_scattered_matrix(self):
+        rng = np.random.default_rng(12)
+        blocks = [rng.uniform(0.5, 2.0, (p, q)) for p, q in [(1, 2), (2, 2), (3, 1), (2, 2)]]
+        base = _permuted_block_diagonal(blocks, 2, 1, rng)
+        rows, cols = np.nonzero(base)
+        family = base[rows, cols] * rng.uniform(0.5, 2.0, (5, rows.size))
+        family[2] = 0.0  # a zero matrix in the family
+        family[3] = -0.0
+        family[4, :3] = family[0, :3]  # blocks shared between rows are certified once
+        certs = _family_norm(base.shape, (rows, cols, family), 1e-10)
+        for values, cert in zip(family, certs):
+            matrix = np.zeros(base.shape)
+            matrix[rows, cols] = values
+            expected = operator_norm(matrix)
+            assert cert == (expected if values.any() else NormCertificate(0.0, 0.0, "exact", "exact"))
+        assert certs[0].components == 4
+
+    def test_a_wide_row_fails_alone(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.standard_normal((2, 6, 6))
+        widths = [(c.upper - c.lower) / c.upper for c in map(operator_norm, (a, b))]
+        assert widths[0] != widths[1]
+        rel_tol = math.sqrt(widths[0] * widths[1])
+        entries = (*np.indices((6, 6)).reshape(2, -1), np.stack([a, b]).reshape(2, -1))
+        certs = _family_norm((6, 6), entries, rel_tol)
+        wide = int(widths[1] > widths[0])
+        assert isinstance(certs[wide], UnconvergedError)
+        with pytest.raises(UnconvergedError) as err:
+            operator_norm((a, b)[wide], rel_tol)
+        assert (str(certs[wide]), certs[wide].data) == (str(err.value), err.value.data)
+        assert certs[1 - wide] == operator_norm((a, b)[1 - wide], rel_tol)
+
+    @pytest.mark.parametrize("eps", [0.05, 1.0])
+    def test_families_certified_together_are_each_alone(self, eps):
+        # The sections' blocks share shapes, and so share kernel calls.
+        pair = halmos_pair_scaled()
+        majorant = halmos_nilpotent_majorant(eps)
+        families = [((128, 128), _section_entries(op, 128, [eps, 0.4]), 1e-6)
+                    for op in (pair.a, pair.b, pair.nilpotent)]
+        families.append(((4, 4), (*np.indices((4, 4)).reshape(2, -1), majorant.reshape(1, -1)),
+                         1e-12))
+        together = _entries_norm(families)
+        assert together == [_family_norm(*family) for family in families]
+        assert together[3] == [operator_norm(majorant, rel_tol=1e-12)]
+
+    def test_zero_rows_beside_a_connected_support(self):
+        whole = np.arange(1.0, 7.0).reshape(2, 3)
+        entries = (*np.indices((2, 3)).reshape(2, -1), np.stack([whole.ravel(), np.zeros(6)]))
+        assert _family_norm((2, 3), entries, 1e-10) == [
+            operator_norm(whole), NormCertificate(0.0, 0.0, "exact", "exact")]
 
 
 class TestNilpotencyIndex:

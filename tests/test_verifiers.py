@@ -357,6 +357,20 @@ class TestCommandEntries:
         assert set(slopes) == {"norm_a", "norm_b", "norm_n"}
         assert notes == []
 
+    @pytest.mark.parametrize("window", [16, 128, 512])
+    @pytest.mark.parametrize("grid", [[0.05, 0.1, 0.2, 0.4], [0.4, 1.0, 0.999, 0.05]],
+                             ids=["workload", "one"])
+    def test_batched_rows_are_the_one_point_rows_bit_for_bit(self, grid, window):
+        def bits(row):
+            return {key: value.hex() if isinstance(value, float) else value
+                    for key, value in row.items()}
+
+        rows, _, _, _ = sweep_checks(grid, window)
+        for eps, row in zip(grid, rows):
+            _, alone, _ = construct_halmos_checks(eps, window)
+            assert list(row) == list(alone)
+            assert bits(row) == bits(alone)
+
     @pytest.mark.parametrize("entry, eps, window, message", [
         (construct_halmos_checks, 0.0, 16, r"eps must lie in \(0, 1\], got 0.0"),
         (construct_halmos_checks, math.nan, 2048, r"eps must lie in \(0, 1\], got nan"),
@@ -536,6 +550,16 @@ class TestFactorizationChecks:
         pair = nilpotent_commutator_factors(c, 1e-30)
         residual = factorization_checks(c, pair, tol=0.0, eps=1e-30)[0]
         assert residual.passed and residual.inputs["residual"] > 1e-300
+
+    def test_trace_zero_residual_needs_the_spread_factor(self):
+        # At n = 50 the residual of a correct factorization is 7.75 times
+        # 2 gamma_4 max C, so a rounding term whose (1 + spread) factor were
+        # the constant 2 would fail it at tol=0.
+        c = np.random.default_rng(0).uniform(0.0, 1.0, (50, 50))
+        np.fill_diagonal(c, 0.0)
+        (residual,) = factorization_checks(c, trace_zero_commutator_factors(c), tol=0.0)
+        assert residual.passed
+        assert residual.inputs["residual"] > 7.0 * 2.0 * verifiers._gamma(4) * c.max()
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_bad_tol(self, tol):
