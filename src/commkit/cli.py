@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Any
 
 from . import __version__
 from .constructions import nilpotent_commutator_factors, trace_zero_commutator_factors
-from .matrices import UnconvergedError, read_matrix, write_json
+from .matrices import UnconvergedError, _check_tol, read_matrix, write_json
 from .verdict import Verdict
 from .verifiers import (
     construct_halmos_checks,
@@ -94,13 +93,8 @@ def _cmd_construct_halmos(args) -> RunReport:
     return _report(args, verdicts, tables=[row])
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
-
-
 def _cmd_factor(args) -> RunReport:
-    _require_tol(args.tol)
+    _check_tol(args.tol)
     c = read_matrix(args.input)
     if args.kind == "nilpotent":
         pair, eps = nilpotent_commutator_factors(c, args.eps), args.eps
@@ -122,7 +116,7 @@ def _cmd_wielandt(args) -> RunReport:
 
 def _read_abx(args) -> tuple:
     """Check --tol, then read --input-a, --input-b and --input-x."""
-    _require_tol(args.tol)
+    _check_tol(args.tol)
     return tuple(read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
 
 

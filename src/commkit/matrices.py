@@ -197,10 +197,10 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     certified once, and the blocks of one shape are certified as one stack.
     A connected support is certified whole, as a stack of one.
 
-    The components come from Borůvka rounds on the dense support, and the
-    blocks are gathered from A's nonzero entries.  Finite sections hold about
-    1.5 nonzeros per column; _entries_norm certifies a family of them from
-    their list of entries alone, with the same components, blocks and brackets.
+    A is certified from its listed entries, as _entries_norm certifies a
+    family of one: every entry that is not +0.0 is listed, and _hook joins
+    the nonzero ones into components.  So a connected A is certified from
+    the exact bits of A, whatever its memory layout.
 
     Each block's certificate comes from one eigendecomposition
     G = V diag(lam) V^T of the computed Gram matrix G = fl(A^T A), A of
@@ -230,18 +230,19 @@ def operator_norm(a, rel_tol: float = 1e-10) -> NormCertificate:
     when rounding alone leaves it wider than rel_tol.
     """
     a = _checked(np.asarray(a, dtype=float))  # read only, so no copy
-    support = a != 0.0
-    count, row_label, col_label = _labels(
-        _boruvka_forest(support), support.any(axis=1), support.any(axis=0))
-    if count == 1:
-        stacks = [(a[None], np.arange(1)[:, None])]
-    else:
-        rows, cols = np.divmod(np.flatnonzero(support), a.shape[1])
-        stacks = _component_blocks(row_label, col_label, rows, cols, a[None, rows, cols])
-    ((cert,),) = _bracket([(count, 1, stacks, rel_tol)])
+    ((cert,),) = _entries_norm([(a.shape, _listed(a[None]), rel_tol)])
     if isinstance(cert, UnconvergedError):
         raise cert
     return cert
+
+
+def _listed(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (rows, cols, values) of the (k, m, n) stack where some member is not +0.0.
+
+    -0.0 is listed too, so a member whose support is connected is rebuilt bit for bit.
+    """
+    rows, cols = np.nonzero(((stack != 0.0) | np.signbit(stack)).any(axis=0))
+    return rows, cols, stack[:, rows, cols]
 
 
 def _entries_norm(families) -> list[list[NormCertificate | UnconvergedError]]:
@@ -427,28 +428,6 @@ def _hook(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             if np.array_equal(jumped, parent):
                 break
             parent[:] = jumped
-
-
-def _boruvka_forest(support: np.ndarray) -> np.ndarray:
-    """The _hook forest of the bipartite support graph: rows 0..m-1, columns m..m+n-1.
-
-    Borůvka rounds on the dense support: every row and column with an edge
-    to another component hooks along its first such edge, so the number of
-    components that still have such an edge at least halves per round.  A
-    round costs O(m n) and never lists the edges, which on a dense support
-    would be most of the matrix.
-    """
-    m, n = support.shape
-    rows, cols = np.arange(m), np.arange(n)
-    parent = np.arange(m + n)
-    cross = support
-    while cross.any():
-        first_col, first_row = cross.argmax(axis=1), cross.argmax(axis=0)
-        r = rows[cross[rows, first_col]]
-        c = cols[cross[first_row, cols]]
-        _hook(parent, np.concatenate([r, first_row[c]]), np.concatenate([first_col[r], c]) + m)
-        cross = support & (parent[:m, None] != parent[None, m:])
-    return parent
 
 
 def _labels(

@@ -21,6 +21,7 @@ from .matrices import (
     _check_tol,
     _entries_norm,
     _gamma,
+    _listed,
     _square_inputs,
     commutator,
     entrywise_leq,
@@ -435,7 +436,9 @@ SECTION_REL_TOL = 1e-6
 
 
 def _check_window(window: int) -> None:
-    """The one window rule of the scaled pair's sections: 16 <= window <= MAX_WINDOW."""
+    """The one window rule of the scaled pair's sections: an int, 16 <= window <= MAX_WINDOW."""
+    if not isinstance(window, int):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 16:
         raise ValueError("window must be at least 16")
     if window > MAX_WINDOW:
@@ -456,8 +459,8 @@ def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
     Each window x window section of halmos_pair_scaled() at eps is certified
     from its listed entries (lazyops._section_entries), and no dense section
     is built.  Raises ValueError for eps outside (0, 1] and then for a window
-    outside [16, MAX_WINDOW], before any section is listed, and the
-    UnconvergedError of a norm that does not converge.
+    that is not an integer in [16, MAX_WINDOW], before any section is
+    listed, and the UnconvergedError of a norm that does not converge.
     """
     _check_eps(eps)
     _check_window(window)
@@ -489,8 +492,7 @@ def _popa_batch(grid: list[float], window: int) -> list[Verdict | UnconvergedErr
     families = [((window, window), _section_entries(op, window, grid), SECTION_REL_TOL)
                 for op in (pair.a, pair.b, pair.nilpotent)]
     majorants = np.array([halmos_nilpotent_majorant(eps) for eps in grid])
-    every_entry = (*np.indices((4, 4)).reshape(2, -1), majorants.reshape(len(grid), -1))
-    certs = _entries_norm(families + [((4, 4), every_entry, 1e-12)])
+    certs = _entries_norm(families + [((4, 4), _listed(majorants), 1e-12)])
     results = []
     for eps, point in zip(grid, zip(*certs)):
         failed = [cert for cert in point if isinstance(cert, UnconvergedError)]
@@ -538,8 +540,8 @@ def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dic
     The verdicts are the exact proofs of [A, B] = I + N and of N's nil-index,
     the row is that of sweep_checks, and sections maps "A", "B" and "N" to
     the sections of halmos_pair_scaled() at eps.  Raises ValueError, before
-    any section is listed, for eps outside (0, 1] or a window outside
-    [16, MAX_PAYLOAD_WINDOW].
+    any section is listed, for eps outside (0, 1] or a window that is
+    not an integer in [16, MAX_PAYLOAD_WINDOW].
     """
     _check_eps(eps)
     _check_window(window)
@@ -560,8 +562,8 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
     points are certified as one batch (_norm_rows).  Slopes
     are fitted to the converged rows; the notes say why there are none, or
     how uncertain they are.  Raises ValueError, before any section is listed,
-    for an empty grid, a value outside (0, 1] or repeated, or a window outside
-    [16, MAX_WINDOW], and UnconvergedError when no point converged.
+    for an empty grid, a value outside (0, 1] or repeated, or a window that is not
+    an integer in [16, MAX_WINDOW], and UnconvergedError when no point converged.
     """
     if not grid:
         raise ValueError("grid is empty")

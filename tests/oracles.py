@@ -85,3 +85,37 @@ def bracket_contains_norm(a, lower: float, upper: float) -> bool:
 
 def _value(poly: list[Fraction], t: Fraction) -> Fraction:
     return sum(c * t**k for k, c in enumerate(poly))
+
+
+# -- support components --------------------------------------------------------
+
+
+def support_components(support) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, row_label, col_label): the connected components of a bipartite support.
+
+    support is a 2-D boolean array: rows i and columns j are the nodes, and
+    every True support[i, j] is an edge.  Plain union-find in Python, with
+    no numpy beyond listing the edges.  Labels count 0..count-1 in the order
+    of each component's least row; a row or column with no edge gets -1.
+    """
+    m, n = np.shape(support)
+    parent = list(range(m + n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    live = [False] * (m + n)
+    for i, j in zip(*(k.tolist() for k in np.nonzero(support))):
+        live[i] = live[m + j] = True
+        ri, rj = root(i), root(m + j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    label_of: dict[int, int] = {}
+    for i in range(m):  # every component with an edge holds a row
+        if live[i]:
+            label_of.setdefault(root(i), len(label_of))
+    labels = [label_of[root(x)] if live[x] else -1 for x in range(m + n)]
+    return len(label_of), np.array(labels[:m], dtype=np.intp), np.array(labels[m:], dtype=np.intp)

@@ -370,7 +370,7 @@ class TestVerify:
         if argv[0] == "factor":
             files = ["--input", m, "--out", tmp_path / "o.json"]
         assert run(*argv, *files) == 2
-        assert "error: --tol must be finite and nonnegative" in capsys.readouterr().err
+        assert "error: tol must be finite and nonnegative" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -20,12 +20,13 @@ from commkit.lazyops import _section_entries, compress
 from commkit.matrices import (
     DynamicRangeError,
     UnconvergedError,
-    _boruvka_forest,
     _component_blocks,
     _dense_certificate,
     _entries_norm,
+    _family_blocks,
     _json_text,
     _labels,
+    _listed,
     as_matrix,
     commutator,
     entrywise_leq,
@@ -42,6 +43,7 @@ from oracles import (
     gram_charpoly,
     matrix_to_json_dict,
     nilpotency_index,
+    support_components,
 )
 
 
@@ -272,6 +274,21 @@ class TestOperatorNorm:
         assert np.array_equal(a, before)
         assert cert.components == (1 if a.shape == (2, 2) else 2)
 
+    def test_memory_layout_does_not_matter(self):
+        # Connected, signed, with -0.0 entries.  Certifying the array as stored
+        # gave its Fortran-ordered copy a lower bound one ulp above the
+        # C-ordered one (numpy 2.4, OpenBLAS).  Listing the entries certifies
+        # both from the same C-ordered bits, the dense certificate of a.
+        rng = np.random.default_rng(3)
+        m, n = (int(d) for d in rng.integers(2, 9, 2))
+        a = rng.standard_normal((m, n))
+        a[rng.random((m, n)) < 0.1] = -0.0
+        assert np.signbit(a[a == 0.0]).all() and (a == 0.0).any()
+        cert, fortran = operator_norm(a), operator_norm(np.asfortranarray(a))
+        assert cert.components == 1
+        assert cert == fortran == _certificate(a)
+        assert (fortran.lower.hex(), fortran.upper.hex()) == (cert.lower.hex(), cert.upper.hex())
+
     def test_order_monotonicity_smoke(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
@@ -467,9 +484,30 @@ class TestOperatorNormExactOracle:
 
 
 def _split(a):
-    """operator_norm's component labels of a's support."""
-    support = a != 0.0
-    return _labels(_boruvka_forest(support), support.any(axis=1), support.any(axis=0))
+    """The component labels of a's support, from the union-find oracle."""
+    return support_components(a != 0.0)
+
+
+class _Split(Exception):
+    """Raised with the labels _family_blocks found, before it builds any block."""
+
+
+def _hooked_split(shape, entries):
+    """The (count, row_label, col_label) that _family_blocks finds for a listed family."""
+
+    def labels(*args):
+        raise _Split(_labels(*args))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_labels", labels)
+        with pytest.raises(_Split) as split:
+            _family_blocks(shape, entries)
+    return split.value.args[0]
+
+
+def _assert_same_split(found, expected):
+    assert found[0] == expected[0]
+    assert np.array_equal(found[1], expected[1]) and np.array_equal(found[2], expected[2])
 
 
 def _permuted_block_diagonal(blocks, zero_rows, zero_cols, rng):
@@ -548,6 +586,7 @@ class TestOperatorNormComponents:
         # A bidiagonal support is one path through all 8192 rows and columns.
         chain = np.identity(4096) + np.diag(np.full(4095, 0.5), 1)
         assert _split(chain)[0] == 1
+        _assert_same_split(_hooked_split(chain.shape, _listed(chain[None])), _split(chain))
 
     def test_cut_chain_splits_in_two(self):
         rng = np.random.default_rng(8)
@@ -556,9 +595,33 @@ class TestOperatorNormComponents:
         chain = chain[np.ix_(rng.permutation(512), rng.permutation(512))]
         count, row_label, col_label = _split(chain)
         assert count == 2
+        _assert_same_split(_hooked_split(chain.shape, _listed(chain[None])), _split(chain))
         rows, cols = np.nonzero(chain)
         stacks = _component_blocks(row_label, col_label, rows, cols, chain[None, rows, cols])
         assert [blocks.shape for blocks, _ in stacks] == [(1, 201, 201), (1, 311, 311)]
+
+
+class TestSupportComponents:
+    """The component split of _family_blocks against the union-find oracle."""
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), st.floats(0.0, 0.6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(4, 5, 1, 0.0, 0)  # no edge at all
+    @example(12, 12, 2, 0.1, 1)  # many small components
+    def test_count_and_labels_match_the_oracle(self, m, n, k, density, seed):
+        rng = np.random.default_rng(seed)
+        family = rng.standard_normal((k, m, n)) * (rng.random((k, m, n)) < density)
+        family[:, rng.random(m) < 0.2, :] = 0.0  # empty rows
+        family[:, :, rng.random(n) < 0.2] = -0.0  # empty columns, their -0.0 entries listed
+        expected = support_components(family.any(axis=0))
+        rows, cols, values = _listed(family)
+        order = rng.permutation(rows.size)  # any listing order
+        entries = rows[order], cols[order], values[:, order]
+        _assert_same_split(_hooked_split((m, n), entries), expected)
+        assert _family_blocks((m, n), entries)[0] == expected[0]
 
 
 def _entries(a):
@@ -587,6 +650,7 @@ class TestEntriesNorm:
         listed = rng.random(a.size) < 0.5  # any subset that holds every nonzero
         listed |= values[0].view(np.int64) != 0
         expected = operator_norm(a)
+        assert expected.components == max(_split(a)[0], 1)
         entries = rows[listed], cols[listed], values[:, listed]
         assert _family_norm((m, n), entries, 1e-10) == [expected]
 

@@ -393,6 +393,22 @@ class TestCommandEntries:
         with pytest.raises(ValueError, match=message):
             entry(eps, window)
 
+    @pytest.mark.parametrize("entry, eps, window", [
+        (sweep_checks, [0.1, 0.2], 64.0),
+        (sweep_checks, [0.1, 0.2], "64"),
+        (construct_halmos_checks, 0.1, 64.5),
+        (certified_halmos_popa_check, 0.1, 100.5),
+        (certified_halmos_popa_check, 0.1, None),
+    ])
+    def test_window_that_is_not_an_integer_is_refused(self, monkeypatch, entry, eps, window):
+        def listed(*args):
+            raise AssertionError("a section was listed")
+
+        monkeypatch.setattr(verifiers, "_section_entries", listed)
+        message = f"window must be an integer, got {re.escape(repr(window))}"
+        with pytest.raises(ValueError, match=message):
+            entry(eps, window)
+
 
 class TestExactChecks:
     def test_scaled_pair_passes_both(self):
