@@ -392,7 +392,12 @@ def _section_entries(
 
 
 def _check_eps(eps: float) -> None:
-    """The one range rule of a numeric eps: the scaled family is defined for 0 < eps <= 1."""
+    """The one rule of a numeric eps: an int or float, not a bool, with 0 < eps <= 1.
+
+    The scaled family is defined for 0 < eps <= 1; a numpy float is a float.
+    """
+    if type(eps) is bool or not isinstance(eps, (int, float)):
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
 

@@ -495,17 +495,21 @@ def _component_blocks(
 # -- file formats -----------------------------------------------------------
 #
 # JSON object: {"rows": n, "cols": m, "data": [row-major numbers]}, where
-# every entry of data is a JSON number.  Readers also accept a plain CSV grid:
-# one row per line, each cell a decimal such as 3, -0.5, .5 or 2e-3.  A file
-# larger than MAX_MATRIX_BYTES is refused before it is parsed.  Writers emit
-# the dense JSON form only, through one encoder, _json_text.
+# every entry of data is a JSON number.  orjson reads the data list in chunks
+# straight into the array (_read_json_chunked); json.loads reads every file
+# that path declines, and its result or error stands.  Readers also accept a
+# plain CSV grid: one row per line, each cell a decimal such as 3, -0.5, .5
+# or 2e-3.  A file larger than MAX_MATRIX_BYTES is refused before it is
+# parsed.  Writers emit the dense JSON form only, through one encoder,
+# _json_text.
 
 # Largest matrix file read_matrix parses, 32 MiB: a dense 1024 x 1024 matrix
-# at full precision takes about 22 MB.  Parsing holds the text, the parsed
-# entries and the array at once.  The peak resident set (ru_maxrss, numpy 2.4)
-# at the limit was 486 MB for JSON of short numbers ("0.5,"), whose entries
-# load as Python floats, 171 MB for JSON at full precision and 397 MB for a
-# CSV row of zeros.
+# at full precision takes about 22 MB.  The JSON reader holds the text, the
+# array and one chunk's entries at once.  The peak resident set of a fresh
+# process (ru_maxrss, numpy 2.4, orjson 3.8) at the limit was 135 MB for JSON
+# of short numbers ("0.5,"; 454 MB when json.loads read it whole), 93 MB for
+# JSON at full precision and 365 MB for a CSV row of zeros.  A JSON file
+# that orjson declines, such as one ending in NaN, peaked at 455 MB.
 MAX_MATRIX_BYTES = 1 << 25
 
 
@@ -613,6 +617,9 @@ def read_matrix(path) -> np.ndarray:
     """
     text = _read_text(path)
     if text.lstrip().startswith("{"):
+        a = _read_json_chunked(text)
+        if a is not None:
+            return a
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -621,6 +628,78 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError(f"invalid matrix JSON in {path}: nests too deeply") from None
         return matrix_from_json_dict(obj)
     return _parse_csv(text)
+
+
+# The data key up to the bracket that opens its list; JSON whitespace only.
+_DATA_KEY = re.compile(r'"data"[ \t\n\r]*:[ \t\n\r]*\[')
+
+# Characters of the data list parsed at a time: the list is cut at the first
+# comma past each 64 KiB, so one chunk's Python entries are alive at once.
+# With 1 MiB chunks, a 32 MiB file that declined in its last chunk peaked
+# 7.6 MB higher in json.loads than it did without this path, because glibc
+# raises its mmap threshold when a block that large is freed.  64 KiB chunks
+# read as fast, and the excess fell to 0.9 MB, the size of orjson's import.
+_CHUNK_CHARS = 1 << 16
+
+# Every JSON value that is not a number starts with one of these characters,
+# so a list without them holds only numbers, which orjson loads as int or
+# float: a bool, string, null, list or dict entry declines.
+_NOT_NUMBERS = '"{[tfn'
+
+
+def _read_json_chunked(text: str) -> np.ndarray | None:
+    """The dense JSON form in text, or None where json.loads must decide.
+
+    Returns a matrix only where json.loads and matrix_from_json_dict give
+    the same one, bit for bit.  orjson refuses what json.loads alone takes
+    (NaN, Infinity, numbers past the double range, lone surrogates), and
+    such a file, or any other this path does not follow, returns None.
+    Outside the list, the object must hold no list or object, not even in a
+    string: then no nested or duplicate data key can hold a list, and no
+    nesting reaches orjson, which takes nesting that json.loads refuses (and
+    crashed the process at a depth of 150,000).  The entries are counted from
+    the list's commas before the array is allocated, and must be numbers.
+    """
+    # Imported here, so that a command that reads no matrix does not pay for
+    # it: at module level it added 0.7 MB to the peak RSS of every sweep and
+    # about 1.3 ms (10%) to a window-512 sweep pass.
+    import orjson
+
+    key = _DATA_KEY.search(text)
+    if key is None:
+        return None
+    start = key.end()
+    end = text.find("]", start)
+    if end < 0 or len(text) - (end - start) > _CHUNK_CHARS:  # the rest is one chunk at most
+        return None
+    rest = text[:start] + text[end:]
+    if rest.count("[") != 1 or rest.count("{") != 1:
+        return None
+    try:
+        obj = orjson.loads(rest)
+        if type(obj) is not dict or obj.get("data") != []:
+            return None
+        rows, cols = obj.get("rows"), obj.get("cols")
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+            return None
+        if text.count(",", start, end) + 1 != rows * cols:
+            return None
+        if any(text.find(c, start, end) >= 0 for c in _NOT_NUMBERS):
+            return None
+        a = np.empty(rows * cols)
+        filled = 0
+        while start < end:
+            cut = text.find(",", min(start + _CHUNK_CHARS, end), end)
+            cut = end if cut < 0 else cut
+            values = orjson.loads("[" + text[start:cut] + "]")
+            a[filled:filled + len(values)] = values
+            filled += len(values)
+            start = cut + 1
+    except orjson.JSONDecodeError:
+        return None
+    if filled != a.size:
+        return None
+    return _checked(a.reshape(rows, cols))
 
 
 def _read_text(path) -> str:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from commkit.matrices import _square_inputs, as_matrix
+from commkit.matrices import _square_inputs, as_matrix, matrix_from_json_dict
 
 
 def nilpotency_index(a, tol: float | None = None) -> int | None:
@@ -34,6 +35,11 @@ def matrix_to_json_dict(a) -> dict:
     """The dense matrix form {"rows", "cols", "data"}, whose json.dumps the writer must match."""
     a = as_matrix(a)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
+
+
+def json_matrix(text: str) -> np.ndarray:
+    """The matrix that json.loads and matrix_from_json_dict read from a JSON text."""
+    return matrix_from_json_dict(json.loads(text))
 
 
 # -- exact spectral norms ----------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from oracles import (
     at_or_above_top_root,
     bracket_contains_norm,
     gram_charpoly,
+    json_matrix,
     matrix_to_json_dict,
     nilpotency_index,
     support_components,
@@ -891,6 +893,212 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"rows": 1, "data": [1.0]}), encoding="utf-8")
         with pytest.raises(ValueError):
             read_matrix(path)
+
+
+# -- the JSON reader against json.loads --------------------------------------
+# read_matrix parses the data list with orjson in chunks and leaves every
+# file that path declines to json.loads.  Either way it must read what
+# json.loads and matrix_from_json_dict read, bit for bit, or raise the same
+# error.
+
+
+def _halfway(e: int, m: int) -> str:
+    """The integer halfway between the doubles m 2^(e-52) and (m + 1) 2^(e-52), 2^52 <= m < 2^53."""
+    return str((2 * m + 1) << (e - 53))
+
+
+def _decimal(sign: str, digits: str, exp: int) -> str:
+    """sign d.ddd...e<exp>: under 10^(exp + 1) in magnitude, so finite for exp <= 300."""
+    return f"{sign}{digits[0]}{'.' + digits[1:] if digits[1:] else ''}e{exp}"
+
+
+# Number literals that orjson parses: float reprs, 17- to 25-digit forms of
+# floats, integers from -2^63 up to 10^300 (orjson gives a float past
+# 2^64 - 1), integers halfway between two doubles, and decimals with 1- to
+# 25-digit mantissas, from 10^301 down into and below the subnormals.
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(16, 24)).map(
+        lambda xk: f"{xk[0]:.{xk[1]}e}"
+    ),
+    st.integers(-(2**63), 10**300).map(str),
+    st.builds(_halfway, st.integers(53, 1000), st.integers(2**52, 2**53 - 1)),
+    st.builds(
+        _decimal,
+        st.sampled_from(["", "-"]),
+        st.integers(1, 25).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1)).map(str),
+        st.integers(-345, 300),
+    ),
+)
+# Entries json.loads reads and orjson refuses, or that are not numbers.
+_bad_entries = st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e309", "1" + "0" * 400, "true", "false", "null",
+    '"1"', "[]", "{}", '{"data": [1]}',
+])
+# Values of rows or cols that are not a positive integer json.loads reads as such.
+_bad_sizes = st.sampled_from(["0", "-1", "18446744073709551616", "1.0", "1e0", "true", '"2"', "null"])
+# Extra keys, each with its value, that leave the top-level data key alone or not.
+_extra_keys = st.sampled_from([
+    '"note": "\\ud800"', '"note": "ok"', '"meta": {"data": [1, 2]}', '"meta": {"data": []}',
+    '"data": []', '"data": [7]', '"d\\u0061ta": []', '"d\\u0061ta": [8]', '"x\\"data": [9]',
+])
+
+
+@st.composite
+def json_matrix_texts(draw):
+    """(text, fast): a dense-form JSON text, and whether the orjson path must read it.
+
+    fast holds for the dense form itself, in any key order and with any JSON
+    whitespace.  A text with one of the mutations may be read by either path.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.lists(_numbers, min_size=rows * cols, max_size=rows * cols))
+    sep = draw(st.sampled_from([", ", ",", ",\n", " ,\t", "\r\n, "]))
+    colon = draw(st.sampled_from([": ", ":", " :\n "]))
+    mutation = draw(st.none() | st.sampled_from(
+        ["entry", "count", "trailing", "leading", "empty", "size", "extra", "extra-first"]
+    ))
+    sizes = [str(rows), str(cols)]
+    if mutation == "entry":
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_bad_entries)
+    elif mutation == "count":
+        entries = entries[1:] if draw(st.booleans()) else entries + ["0"]
+    elif mutation == "size":
+        sizes[draw(st.integers(0, 1))] = draw(_bad_sizes)
+    data = {"trailing": sep.join(entries) + ",", "leading": "," + sep.join(entries), "empty": ""}
+    fields = [
+        f'"rows"{colon}{sizes[0]}',
+        f'"cols"{colon}{sizes[1]}',
+        f'"data"{colon}[{data.get(mutation, sep.join(entries))}]',
+    ]
+    fields = draw(st.permutations(fields))
+    if mutation == "extra":
+        fields.insert(draw(st.integers(0, len(fields))), draw(_extra_keys))
+    elif mutation == "extra-first":
+        fields.insert(0, draw(_extra_keys))
+    return "{" + draw(st.sampled_from([", ", ",\n"])).join(fields) + "}", mutation is None
+
+
+# Pinned cases: (text, fast), fast as for json_matrix_texts.
+_READER_CASES = [
+    # 17- to 25-digit mantissas, and integers halfway between two doubles.
+    ('{"rows": 1, "cols": 4, "data": [0.10000000000000000555, 1.234567890123456789012345e-5, '
+     '9007199254740993, 18446744073709553664]}', True),
+    # Subnormals, the halfway point below the least one, and signed zeros.
+    ('{"rows": 2, "cols": 3, "data": [5e-324, 2.4703282292062327e-324, 2.4703282292062328e-324, '
+     '1e-400, -0, -0.0]}', True),
+    ('{"rows": 1, "cols": 2, "data": [1e400, 0]}', False),
+    # Integers of 2^64 and more, in the data and as rows.
+    ('{"rows": 1, "cols": 3, "data": [18446744073709551616, -18446744073709551617, 1' + "0" * 300 + ']}',
+     True),
+    ('{"rows": 18446744073709551616, "cols": 1, "data": [1]}', False),
+    ('{"rows": 1, "cols": 2, "data": [NaN, 1]}', False),
+    ('{"rows": 1, "cols": 2, "data": [Infinity, -Infinity]}', False),
+    # A lone surrogate in an extra key: orjson refuses the text, json.loads reads it.
+    ('{"note": "\\ud800", "rows": 1, "cols": 1, "data": [1]}', False),
+    # A nested data key before the top-level one, and duplicate data keys.
+    ('{"meta": {"data": [1, 2]}, "rows": 1, "cols": 1, "data": [3]}', False),
+    ('{"meta": {"data": []}, "rows": 1, "cols": 1, "data": []}', False),
+    ('{"rows": 1, "cols": 1, "data": [5], "data": []}', False),
+    ('{"rows": 1, "cols": 1, "data": [], "data": [5]}', False),
+    ('{"rows": 1, "cols": 1, "data": [5], "data": [6]}', False),
+    ('{"rows": 1, "cols": 1, "data": [5], "d\\u0061ta": []}', False),
+    ('{"rows": 1, "cols": 1, "data": [5], "x": "\\"data\\": [6]"}', False),
+    ('{"rows": 1, "cols": 1, "data": []}', False),
+    ('{"rows": 1, "cols": 2, "data": [1, 2,]}', False),
+    ('{"rows": 1, "cols": 1, "data": [true]}', False),
+    ('{"rows": 1, "cols": 2, "data": [0, false]}', False),
+    ('{"rows": 1, "cols": 2, "data": [0, {}]}', False),
+    # Whitespace and newlines inside the list, and an upper-case exponent.
+    ('{"rows": 2, "cols": 2, "data": [\n  1,\n\t2 ,\r\n 1E+2\n,4\n]\n}', True),
+]
+
+
+def _outcome(read):
+    """(shape, entry bits) of the matrix that read() returns, or (error class, message)."""
+    try:
+        a = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return a.shape, a.view(np.int64).tolist()
+
+
+def _check_reader(path, text: str, fast: bool, chunk: int) -> None:
+    """read_matrix of text equals json_matrix of it, without json.loads if fast."""
+    path.write_text(text, encoding="utf-8")
+
+    def oracle():
+        try:
+            return json_matrix(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid matrix JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"invalid matrix JSON in {path}: nests too deeply") from None
+
+    expected = _outcome(oracle)
+    loads = mock.Mock(wraps=json.loads)
+    with mock.patch.object(matrices, "_CHUNK_CHARS", chunk), mock.patch.object(json, "loads", loads):
+        assert _outcome(lambda: read_matrix(path)) == expected
+    if fast:
+        loads.assert_not_called()
+
+
+class TestJsonReader:
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=json_matrix_texts(), chunk=st.sampled_from([64, matrices._CHUNK_CHARS]))
+    def test_reads_what_json_loads_reads(self, tmp_path, case, chunk):
+        text, fast = case
+        _check_reader(tmp_path / "m.json", text, fast, chunk)
+
+    @pytest.mark.parametrize("text, fast", _READER_CASES)
+    def test_pinned_cases(self, tmp_path, text, fast):
+        _check_reader(tmp_path / "m.json", text, fast, matrices._CHUNK_CHARS)
+
+    # orjson takes nesting that json.loads refuses, and orjson 3.8 crashed
+    # the process on a document nested 150,000 deep.
+    @pytest.mark.parametrize("text", [
+        '{"x": ' + "[" * 5000 + "]" * 5000 + ', "rows": 1, "cols": 1, "data": [1]}',
+        '{"x": ' + "[" * 200_000 + "]" * 200_000 + ', "rows": 1, "cols": 1, "data": [1]}',
+        '{"rows": 1, "cols": 1, "data": [' + "[" * 200_000 + "1]}",
+    ], ids=["outside-5000", "outside-200000", "inside-200000"])
+    def test_deep_nesting(self, tmp_path, text):
+        _check_reader(tmp_path / "m.json", text, False, matrices._CHUNK_CHARS)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            read_matrix(tmp_path / "m.json")
+
+    def test_list_over_several_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = ",\n".join(map(repr, rng.standard_normal(40).tolist()))
+        text = f'{{"rows": 5, "cols": 8, "data": [{data}]}}'
+        for chunk in (40, 64, 100):  # each a few entries, cut at the comma after it
+            _check_reader(tmp_path / "m.json", text, True, chunk)
+
+    def test_array_is_bounded_by_the_listed_entries(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 100000, "cols": 100000, "data": [1, 2]}', encoding="utf-8")
+
+        def empty(*args, **kwargs):
+            raise AssertionError(f"np.empty{args} was called")
+
+        monkeypatch.setattr(matrices.np, "empty", empty)
+        with pytest.raises(ValueError, match=r"data length 2 != rows\*cols = 10000000000"):
+            read_matrix(path)
+
+    def test_written_file_is_read_without_json_loads(self, tmp_path, monkeypatch):
+        a = np.random.default_rng(6).standard_normal((30, 20))
+        a[a < 0] = 0.0
+        write_json(tmp_path / "m.json", a)
+
+        def loads(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+
+        monkeypatch.setattr(json, "loads", loads)
+        back = read_matrix(tmp_path / "m.json")
+        assert np.array_equal(back.view(np.int64), a.view(np.int64))
 
 
 # Entries weighted towards zero runs and the edges of float64: signed zeros,

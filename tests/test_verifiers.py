@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commkit import verifiers
+from commkit import lazyops, verifiers
 from commkit.constructions import (
     FactorPair,
     HalmosPair,
@@ -408,6 +408,28 @@ class TestCommandEntries:
         message = f"window must be an integer, got {re.escape(repr(window))}"
         with pytest.raises(ValueError, match=message):
             entry(eps, window)
+
+    @pytest.mark.parametrize("eps", [True, False, "0.1", None, Fraction(1, 10), np.float32(0.5)])
+    @pytest.mark.parametrize("entry", [
+        lambda eps: compress(halmos_pair_scaled().a, 64, eps),
+        lambda eps: sweep_checks([0.1, eps], 64),
+        lambda eps: construct_halmos_checks(eps, 64),
+        lambda eps: certified_halmos_popa_check(eps, 64),
+    ], ids=["compress", "sweep_checks", "construct_halmos_checks", "certified_halmos_popa_check"])
+    def test_eps_that_is_not_a_real_number_is_refused(self, monkeypatch, entry, eps):
+        def listed(*args):
+            raise AssertionError("a section was listed")
+
+        monkeypatch.setattr(lazyops, "_section_entries", listed)
+        monkeypatch.setattr(verifiers, "_section_entries", listed)
+        message = f"eps must be a real number, got {re.escape(repr(eps))}"
+        with pytest.raises(ValueError, match=message):
+            entry(eps)
+
+    def test_numpy_float_and_int_eps_are_accepted(self):
+        a = halmos_pair_scaled().a
+        assert np.array_equal(compress(a, 16, np.float64(0.5)), compress(a, 16, 0.5))
+        assert np.array_equal(compress(a, 16, 1), compress(a, 16, 1.0))
 
 
 class TestExactChecks:
