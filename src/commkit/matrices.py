@@ -500,62 +500,41 @@ def _component_blocks(
 # that path declines, and its result or error stands.  Readers also accept a
 # plain CSV grid: one row per line, each cell a decimal such as 3, -0.5, .5
 # or 2e-3.  A file larger than MAX_MATRIX_BYTES is refused before it is
-# parsed.  Writers emit the dense JSON form only, through one encoder,
-# _json_text.
+# parsed.  Writers emit the dense JSON form only, through write_json: orjson
+# writes the text, and each entry reads back to its bits.
 
 # Largest matrix file read_matrix parses, 32 MiB: a dense 1024 x 1024 matrix
 # at full precision takes about 22 MB.  The JSON reader holds the text, the
-# array and one chunk's entries at once.  The peak resident set of a fresh
-# process (ru_maxrss, numpy 2.4, orjson 3.8) at the limit was 135 MB for JSON
-# of short numbers ("0.5,"; 454 MB when json.loads read it whole), 93 MB for
-# JSON at full precision and 365 MB for a CSV row of zeros.  A JSON file
-# that orjson declines, such as one ending in NaN, peaked at 455 MB.
+# array and one chunk's entries at once; the CSV reader holds the text, its
+# rows joined into one text and the array.  The peak resident set of a fresh
+# process (ru_maxrss, numpy 2.4, orjson 3.8) at the limit was 139 MB for JSON
+# of short numbers ("0.5,"), 90 MB for JSON at full precision, 210 MB for a
+# CSV row of zeros and 259 MB for 2048 such rows.  A JSON file that orjson
+# declines, such as one ending in NaN, peaked at 466 MB in json.loads.
 MAX_MATRIX_BYTES = 1 << 25
 
 
-# Entries encoded at a time, so that at most this many float reprs are alive
-# at once: a dense 400 x 400 matrix in one piece held 160,000 of them, about
-# 10 MB more than json.dumps needs.
-_ENCODE_BLOCK = 1 << 14
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj) with each ndarray in obj written as {"rows", "cols", "data"}.
+def write_json(path, obj) -> None:
+    """Write obj to path as JSON, each ndarray in obj as {"rows", "cols", "data"}.
 
     obj is a matrix, or a dict with str keys whose values are matrices, such
-    dicts, or anything json.dumps takes.  The text is byte-identical to
-    json.dumps, but only nonzero entries go through float.__repr__: a run
-    of k zeros is written as one string of k "0.0"s.  Finite sections hold
-    about one nonzero per column.
+    dicts, or JSON values.  Each matrix is checked by as_matrix, so a
+    non-finite entry is refused before anything is written.  orjson writes
+    every entry as the shortest decimal that reads back to its bits.
     """
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
-    if not isinstance(obj, np.ndarray):
-        return json.dumps(obj)
-    a = as_matrix(obj)
-    flat = a.ravel()
-    # Entries are joined by ", " within a block and across blocks alike.
-    blocks = (_entries_text(flat[i:i + _ENCODE_BLOCK]) for i in range(0, flat.size, _ENCODE_BLOCK))
-    return f'{{"rows": {a.shape[0]}, "cols": {a.shape[1]}, "data": [{", ".join(blocks)}]}}'
+    # Imported here, as in _read_json_chunked, so that a command that writes
+    # no matrix does not pay for it.
+    import orjson
 
+    def dense(value):
+        if isinstance(value, dict):
+            return {k: dense(v) for k, v in value.items()}
+        if isinstance(value, np.ndarray):
+            a = as_matrix(value)
+            return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel()}
+        return value
 
-def _entries_text(flat: np.ndarray) -> str:
-    """The entries of flat as json.dumps writes them, joined by ", "."""
-    nonzero = flat.view(np.int64) != 0  # -0.0 is nonzero: json.dumps writes its sign
-    # One token per nonzero entry and per maximal run of zeros; a zero starts a
-    # run when it comes first or follows a nonzero.
-    starts = np.flatnonzero(nonzero | np.concatenate(([True], nonzero[:-1])))
-    is_value = nonzero[starts]
-    runs = np.diff(starts, append=flat.size)[~is_value].tolist()
-    tokens = np.empty(starts.size, dtype=object)
-    tokens[is_value] = list(map(float.__repr__, flat[nonzero].tolist()))
-    tokens[~is_value] = ["0.0, " * (k - 1) + "0.0" for k in runs]
-    return ", ".join(tokens.tolist())
-
-
-def write_json(path, obj) -> None:
-    """Write obj to path as _json_text(obj), UTF-8."""
-    Path(path).write_text(_json_text(obj), encoding="utf-8")
+    Path(path).write_bytes(orjson.dumps(dense(obj), option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
@@ -591,7 +570,7 @@ _BAD_CELL = re.compile(rf",(?!{_CELL}(?:,|\Z))", re.ASCII)  # \d: only 0-9
 
 
 def _parse_csv(text: str) -> np.ndarray:
-    rows = []
+    lines = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -600,13 +579,16 @@ def _parse_csv(text: str) -> np.ndarray:
             col = line.count(",", 0, bad.start()) + 1
             cell = line[bad.start():bad.start() + 40].split(",")[0]
             raise ValueError(f"CSV line {line_no}, cell {col} is not a decimal number: {cell!r}")
-        rows.append(np.fromstring(line, sep=","))  # rounds each decimal as float() does
-    if not rows:
+        lines.append(line)
+    if not lines:
         raise ValueError("no matrix rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    commas = lines[0].count(",")  # every cell is a decimal, so commas count the cells
+    if any(line.count(",") != commas for line in lines):
         raise ValueError("CSV rows have inconsistent lengths")
-    return _checked(np.array(rows))
+    # All rows are parsed at once into the one array, after the lines are freed.
+    joined, shape = ",".join(lines), (len(lines), commas + 1)
+    del lines
+    return _checked(np.fromstring(joined, sep=",").reshape(shape))  # rounds as float() does
 
 
 def read_matrix(path) -> np.ndarray:

@@ -32,9 +32,30 @@ def nilpotency_index(a, tol: float | None = None) -> int | None:
 
 
 def matrix_to_json_dict(a) -> dict:
-    """The dense matrix form {"rows", "cols", "data"}, whose json.dumps the writer must match."""
+    """The dense matrix form {"rows", "cols", "data"}, whose values the writer must write."""
     a = as_matrix(a)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
+
+
+def strict_json_loads(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def float_bits(value):
+    """value with each float, in dicts and lists at any depth, replaced by its
+    int64 view, so that == compares bits: -0.0 differs from 0.0."""
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    if type(value) is float:
+        return ("float", int(np.float64(value).view(np.int64)))
+    return value
 
 
 def json_matrix(text: str) -> np.ndarray:

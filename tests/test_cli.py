@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, report schema, file round-trips."""
 
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from commkit.constructions import (
 from commkit.lazyops import compress
 from commkit.matrices import matrix_from_json_dict, read_matrix, write_json
 from commkit.verifiers import factorization_checks
-from oracles import matrix_to_json_dict
+from oracles import float_bits, matrix_to_json_dict, strict_json_loads
 
 
 def run(*argv):
@@ -46,14 +47,15 @@ class TestConstructHalmos:
         assert a.shape == (64, 64)
         assert a.min() >= 0.0
 
-    def test_payload_is_json_dumps_of_the_dict_form(self, tmp_path):
+    def test_payload_values_are_the_dict_form(self, tmp_path):
         out = tmp_path / "h.json"
         assert run("construct-halmos", "--eps", 0.4, "--window", 64, "--out", out) == 0
         pair = halmos_pair_scaled()
         sections = {key: matrix_to_json_dict(compress(op, 64, 0.4))
                      for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))}
-        expected = json.dumps({"eps": 0.4, "window": 64, **sections})
-        assert out.read_text(encoding="utf-8") == expected
+        expected = {"eps": 0.4, "window": 64, **sections}
+        payload = strict_json_loads(out.read_text(encoding="utf-8"))
+        assert float_bits(payload) == float_bits(expected)
 
     def test_table_row_is_the_sweep_row(self, tmp_path, capsys):
         # Both commands certify their norms through one call of the library.
@@ -265,6 +267,39 @@ class TestFactor:
             back = tmp_path / f"{key}.json"
             write_json(back, m)
             assert np.array_equal(read_matrix(back), m)
+
+
+def _values_digest(path) -> str:
+    """sha256 over the matrices of a written file, in file order: each key, shape and
+    entries as int64, from strict json.loads of the text.  It pins values, not bytes."""
+    digest = hashlib.sha256()
+    for key, value in strict_json_loads(Path(path).read_text(encoding="utf-8")).items():
+        if isinstance(value, dict):
+            digest.update(f"{key}:{value['rows']}x{value['cols']}:".encode())
+            digest.update(np.array(value["data"], dtype="<f8").view("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestWrittenValues:
+    # factor nilpotent is left out: its diagonal comes from np.power, whose last
+    # bits may depend on the numpy build.
+    @pytest.mark.parametrize("argv, digest", [
+        (["construct-halmos", "--eps", 0.05, "--window", 64],
+         "269c530f21e55355fa54d5c7a292d3d318e0ac44f346c598a0cb104a5ad61349"),
+        (["construct-halmos", "--eps", 0.4, "--window", 64],
+         "2fc07ee73e120deebcc89068c23610ab09f12aeb14b98b60edaad31c3f5f7643"),
+        (["construct-halmos", "--eps", 1.0, "--window", 64],
+         "772272b232c2f303322ab520ee6b8139bc6b010c1262f07a22d7fbe38866380e"),
+        (["factor", "tracezero", "--input", "c.json"],
+         "a30ba956a08e455e5d73c09d5f32313623c9bdd4022c6dde5ec6db7dee430a35"),
+    ], ids=["halmos-0.05", "halmos-0.4", "halmos-1.0", "tracezero"])
+    def test_written_matrices_are_pinned(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        c = np.random.default_rng(12).uniform(0.0, 1.0, (12, 12))
+        np.fill_diagonal(c, 0.0)
+        write_json("c.json", c)
+        assert run(*argv, "--out", "out.json") == 0
+        assert _values_digest("out.json") == digest
 
 
 class TestVerify:

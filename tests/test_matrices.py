@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +26,6 @@ from commkit.matrices import (
     _dense_certificate,
     _entries_norm,
     _family_blocks,
-    _json_text,
     _labels,
     _listed,
     as_matrix,
@@ -41,10 +41,12 @@ from commkit.matrices import (
 from oracles import (
     at_or_above_top_root,
     bracket_contains_norm,
+    float_bits,
     gram_charpoly,
     json_matrix,
     matrix_to_json_dict,
     nilpotency_index,
+    strict_json_loads,
     support_components,
 )
 
@@ -1115,19 +1117,26 @@ encoder_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 )
 
 
-def _reference_text(a) -> str:
-    return json.dumps(matrix_to_json_dict(a))
+def _written_bits(path, obj):
+    """float_bits of strict json.loads of what write_json writes of obj."""
+    write_json(path, obj)
+    return float_bits(strict_json_loads(path.read_text(encoding="utf-8")))
 
 
 class TestJsonEncoder:
-    @settings(max_examples=300, deadline=None)
+    # The written text is orjson's; these tests pin its values, never its bytes.
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(a=encoder_matrices, transpose=st.booleans())
     @example(a=np.array([[-0.0]]), transpose=False)
     @example(a=np.array([[0.0, -0.0, 5e-324, 0.0, 0.0, 1.7976931348623157e308]]), transpose=True)
-    def test_byte_identical_to_json_dumps(self, a, transpose):
+    def test_values_are_the_dense_form(self, tmp_path, a, transpose):
         if transpose:
             a = a.T
-        assert _json_text(a) == _reference_text(a)
+        assert _written_bits(tmp_path / "m.json", a) == float_bits(matrix_to_json_dict(a))
 
     @pytest.mark.parametrize("a", [
         np.zeros((1, 1)),
@@ -1139,21 +1148,19 @@ class TestJsonEncoder:
         np.asfortranarray(np.arange(12.0).reshape(3, 4) % 3),
         np.array([[-0.0, 0.0], [0.0, -0.0]]),
     ], ids=["zero-1x1", "one-1x1", "all-zero", "zero-free", "1xn", "nx1", "fortran", "signed-zero"])
-    def test_shapes_and_orders(self, a):
-        assert _json_text(a) == _reference_text(a)
+    def test_shapes_and_orders(self, tmp_path, a):
+        assert _written_bits(tmp_path / "m.json", a) == float_bits(matrix_to_json_dict(a))
 
-    def test_nested_dicts_and_scalars_keep_json_dumps_text(self):
+    def test_nested_dicts_and_scalars_keep_their_values(self, tmp_path):
         a, b = np.array([[0.0, 2.0], [0.0, 0.0]]), np.identity(3)
         obj = {"eps": 0.1, "window": 64, "A": a, "meta": {"B": b, "tags": ["x", None, True]}}
         reference = {**obj, "A": matrix_to_json_dict(a),
                      "meta": {**obj["meta"], "B": matrix_to_json_dict(b)}}
-        assert _json_text(obj) == json.dumps(reference)
+        assert _written_bits(tmp_path / "m.json", obj) == float_bits(reference)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_is_rejected(self, tmp_path, bad):
         a = np.array([[0.0, bad], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            _json_text(a)
         with pytest.raises(ValueError, match="finite"):
             write_json(tmp_path / "m.json", a)
         assert not (tmp_path / "m.json").exists()
@@ -1213,6 +1220,30 @@ class TestCsvCells:
         with pytest.raises(ValueError) as err:
             read_matrix(path)
         assert str(err.value) == "CSV line 1, cell 100001 is not a decimal number: '1e+x'"
+
+    # The first holds 6 cells, which the first row's width of 2 would also fit.
+    @pytest.mark.parametrize("text", ["0,1\n0\n0,0,1\n", "1\n2,3\n", "1,2\n\n3\n"])
+    def test_rows_of_unequal_width_are_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="^CSV rows have inconsistent lengths$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1 << 17), (64, 1 << 11)])
+    def test_parse_holds_the_array_once(self, rows, cols):
+        # The rows are parsed at once into the one array: the peak is that array,
+        # the rows joined into one text and the finiteness mask (an eighth of
+        # the array), under the array and two texts.  A list of per-row arrays
+        # copied by np.array held the array twice.
+        text = ("0," * (cols - 1) + "0\n") * rows
+        tracemalloc.start()
+        try:
+            a = matrices._parse_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (rows, cols)
+        assert peak < a.nbytes + 2 * len(text)
 
 
 class TestBoundedRead:
