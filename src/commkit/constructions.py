@@ -181,8 +181,12 @@ def _diagonal_factors(c: np.ndarray, d: np.ndarray) -> FactorPair:
     gap = d[:, None] - d[None, :]
     with np.errstate(over="ignore"):
         b = np.divide(c, gap, out=np.zeros_like(c), where=(c != 0.0) & (gap != 0.0))
-        mag, scale = np.abs(b), np.abs(d)
-        largest = np.concatenate([scale * mag.max(axis=1), mag.max(axis=0) * scale])
+        del gap
+        scale = np.abs(d)
+        # max |b| along a row or column is the larger of its max and -min: no array of |b|.
+        row_max = np.maximum(b.max(axis=1), -b.min(axis=1))
+        col_max = np.maximum(b.max(axis=0), -b.min(axis=0))
+        largest = np.concatenate([scale * row_max, col_max * scale])
     if not np.isfinite(largest).all():
         raise DynamicRangeError(
             f"entries up to {float(c.max())} with diagonal up to {float(np.abs(d).max())} "

@@ -156,6 +156,7 @@ def power_inequality_report(
     with np.errstate(over="ignore", invalid="ignore"):
         comm = _in_range(commutator(a, b), "the commutator AB - BA")
         pre_h = entrywise_leq(_window(eye + x, interior), _window(comm, interior), tol)
+        del comm  # one n x n array less under the loop's products
         _in_range(pre_h.margin, "[A,B] - (I + X)")
         verdicts.append(dataclasses.replace(pre_h, claim="precondition-commutator-dominates"))
 
@@ -198,8 +199,8 @@ def wielandt_violation_witness(a, b) -> Verdict:
     if not (signed(a) or signed(b)):
         raise ValueError("neither matrix is entrywise signed")
     with np.errstate(over="ignore", invalid="ignore"):
-        comm = _in_range(commutator(a, b), "the commutator AB - BA")
-    diff = comm - identity(a.shape[0])
+        diff = _in_range(commutator(a, b), "the commutator AB - BA")
+    diff[np.diag_indices_from(diff)] -= 1.0  # [A,B] - I, in place
     flat = int(diff.argmin())
     i, j = np.unravel_index(flat, diff.shape)
     value = float(diff[i, j])
@@ -289,14 +290,20 @@ def factorization_checks(
 
     pair is nilpotent_commutator_factors(c, eps) when eps is given and
     trace_zero_commutator_factors(c) otherwise; each tolerance is tol widened
-    by the rounding of that diagonal solve.  C is not copied.  Raises
-    ValueError for a tol that is not finite and nonnegative, or unequal shapes.
+    by the rounding of that diagonal solve.  C is not copied.  AB and BA
+    are formed from A's diagonal d, as d_i b_ij and b_ij d_j: the entries the
+    dense products give, with no n**3 work.  Raises ValueError for a tol
+    that is not finite and nonnegative, unequal shapes, or an A with a
+    nonzero entry off its diagonal.
     """
     _check_tol(tol)
     c = np.asarray(c, dtype=float)
     if not c.shape == pair.a.shape == pair.b.shape:
         raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
     c_max = max_abs(c)
+    d, b = np.diagonal(pair.a), pair.b
+    if np.count_nonzero(pair.a) != np.count_nonzero(d):  # -0.0 counts as zero, as in A @ B
+        raise ValueError("A must be diagonal: it has a nonzero entry off the diagonal")
     # Each entry of AB - BA - C is d_i b_ij - b_ij d_j - c_ij, with no sums, for
     # b_ij = c_ij / (d_i - d_j).  Rounding the gap and the quotient moves it by 2 u c_ij, the
     # two products by u (d_i + d_j) |b_ij| = u spread c_ij with spread = (d_i + d_j) / |d_i - d_j|,
@@ -315,9 +322,9 @@ def factorization_checks(
         spread = 1.0 + 2.0 * eps
         residual_tol = _scaled_tol(tol, 1.0 + c_max, spread)
     rounding = _scaled_tol(_gamma(4) * c_max, 1.0 + spread)
-    underflow = math.ldexp(max_abs(pair.a) + 2.0, -1074)
+    underflow = math.ldexp(max_abs(d) + 2.0, -1074)
     residual_tol = min(residual_tol + rounding + underflow, sys.float_info.max)
-    residual = max_abs(pair.a @ pair.b - pair.b @ pair.a - c)
+    residual = max_abs(d[:, None] * b - b * d - c)
     passed = residual <= residual_tol
     witness = None if passed else {"residual": residual}
     verdicts = [Verdict(passed, "reconstruction-residual", witness, residual_tol - residual,
@@ -330,7 +337,7 @@ def factorization_checks(
         # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
         rounding = tol + _gamma(8) * (1.0 + 2.0 * eps)
         ba_tol = _scaled_tol(rounding, 1.0 + eps * c_max)
-        vd = entrywise_leq(pair.b @ pair.a, eps * c, ba_tol)
+        vd = entrywise_leq(b * d, eps * c, ba_tol)
         verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
     return verdicts
 

@@ -31,6 +31,12 @@ def nilpotency_index(a, tol: float | None = None) -> int | None:
     return None
 
 
+def dense_factor_products(c, pair) -> tuple[float, np.ndarray]:
+    """max |AB - BA - C| and BA for a FactorPair, both from the dense products with A."""
+    residual = pair.a @ pair.b - pair.b @ pair.a - c
+    return float(np.abs(residual).max()), pair.b @ pair.a
+
+
 def matrix_to_json_dict(a) -> dict:
     """The dense matrix form {"rows", "cols", "data"}, whose values the writer must write."""
     a = as_matrix(a)

@@ -250,6 +250,11 @@ class TestTraceZeroFactorization:
             pair = trace_zero_commutator_factors(c)
             assert pair.b.min() < 0.0
 
+    def test_rejects_negative_entries_that_overflow_the_products(self):
+        # A = diag(1, 2) and b_12 = 1e308 / (1 - 2) = -1e308, so (BA)_12 = -2e308.
+        with pytest.raises(DynamicRangeError, match="overflow B, AB or BA"):
+            trace_zero_commutator_factors([[0.0, 1e308], [0.0, 0.0]])
+
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError):
             trace_zero_commutator_factors([[1e-6, 1.0], [1.0, 0.0]])

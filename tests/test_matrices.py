@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -32,6 +34,7 @@ from commkit.matrices import (
     commutator,
     entrywise_leq,
     identity,
+    max_abs,
     NormCertificate,
     matrix_from_json_dict,
     operator_norm,
@@ -124,6 +127,16 @@ class TestIdentityTrace:
     def test_identity_rejects_bad_size(self):
         with pytest.raises(ValueError):
             identity(0)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("a", [[[-3.0, 2.0]], [[1.0, -0.5], [0.25, 0.0]], [[5e-324, -0.0]]])
+    def test_is_the_largest_absolute_entry(self, a):
+        assert float_bits(max_abs(a)) == float_bits(float(np.abs(a).max()))
+
+    @pytest.mark.parametrize("a", [[[-0.0]], [[0.0, -0.0]], [[-0.0, 0.0], [-0.0, -0.0]]])
+    def test_zero_matrix_gives_positive_zero(self, a):
+        assert float_bits(max_abs(a)) == float_bits(0.0)
 
 
 class TestCommutator:
@@ -1274,6 +1287,9 @@ class TestBoundedRead:
             def __exit__(self, *exc):
                 self.inner.close()
 
+            def fileno(self):
+                return self.inner.fileno()
+
             def read(self, n):
                 reads.append(n)
                 return self.inner.read(n)
@@ -1288,3 +1304,31 @@ class TestBoundedRead:
         with pytest.raises(ValueError, match="is larger than 16 bytes"):
             read_matrix(path)
         assert reads == [17]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_pipe_longer_than_the_limit_is_refused(self, tmp_path, monkeypatch):
+        # A pipe's size reads as 0, so after its first byte it is read up to the
+        # limit, and then closed: the writer meets a closed pipe long before 4 MiB.
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+        written = []
+
+        def write():
+            try:
+                with open(path, "wb") as f:
+                    for _ in range(64):
+                        f.write(b"0," * (1 << 15))
+                        written.append(1 << 16)
+            except BrokenPipeError:  # the reader closed the pipe at its limit
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", 16)
+        try:
+            with pytest.raises(ValueError, match="is larger than 16 bytes"):
+                read_matrix(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert sum(written) < 1 << 22

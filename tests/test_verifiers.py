@@ -1,12 +1,13 @@
 """Inequality checkers: lower bounds, refuters, obstructions."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from commkit import lazyops, verifiers
@@ -18,7 +19,8 @@ from commkit.constructions import (
     trace_zero_commutator_factors,
 )
 from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
-from commkit.matrices import DynamicRangeError, commutator, identity
+from commkit.matrices import DynamicRangeError, commutator, entrywise_leq, identity
+from commkit.verdict import Verdict
 from commkit.verifiers import (
     MAX_POWER,
     certified_halmos_popa_check,
@@ -33,6 +35,7 @@ from commkit.verifiers import (
     sweep_checks,
     wielandt_violation_witness,
 )
+from oracles import dense_factor_products, float_bits
 
 norms = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 alphas = st.floats(min_value=1.0, max_value=4.0, allow_nan=False)
@@ -218,7 +221,13 @@ class TestWielandtWitness:
             n = int(rng.integers(2, 21))
             a = np.abs(rng.standard_normal((n, n)))
             b = rng.standard_normal((n, n))
-            assert wielandt_violation_witness(a, b).passed
+            vd = wielandt_violation_witness(a, b)
+            assert vd.passed
+            # The witness is the least entry of the dense [A,B] - I, first in row-major order.
+            diff = commutator(a, b) - np.identity(n)
+            i, j = np.unravel_index(int(diff.argmin()), diff.shape)
+            assert float_bits(vd.witness) == float_bits(
+                {"row": int(i) + 1, "col": int(j) + 1, "value": float(diff[i, j])})
 
     def test_rejects_unsigned_pair(self):
         mixed = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -598,6 +607,55 @@ class TestFactorizationChecks:
         (residual,) = factorization_checks(c, trace_zero_commutator_factors(c), tol=0.0)
         assert residual.passed
         assert residual.inputs["residual"] > 7.0 * 2.0 * verifiers._gamma(4) * c.max()
+
+    # Entries of C: zeros of both signs, subnormals, and normal numbers of every scale.
+    _entries = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.0**-1022]) | st.floats(
+        min_value=1e-300, max_value=1e300)
+
+    @given(n=st.integers(1, 6), data=st.data(), eps=st.sampled_from([None, 1e-30, 0.01, 0.5, 1.0, 1e3]))
+    def test_diagonal_products_give_the_dense_verdicts(self, n, data, eps):
+        # Nilpotent C: strictly upper-triangular behind a permutation; trace-zero
+        # C: any entries off a diagonal of signed zeros.
+        entries = np.array(data.draw(st.lists(self._entries, min_size=n * n, max_size=n * n)))
+        c = entries.reshape(n, n)
+        if eps is None:
+            c[range(n), range(n)] = data.draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                                       min_size=n, max_size=n))
+        else:
+            perm = np.array(data.draw(st.permutations(range(n))), dtype=int)
+            c = np.triu(c, 1)[np.ix_(perm, perm)]
+        try:
+            pair = (trace_zero_commutator_factors(c) if eps is None
+                    else nilpotent_commutator_factors(c, eps))
+        except (DynamicRangeError, ValueError):  # beyond the double range, or eps too large
+            assume(False)
+        verdicts = factorization_checks(c, pair, tol=0.0, eps=eps)
+        residual, ba = dense_factor_products(c, pair)
+        tolerance = verdicts[0].inputs["tolerance"]
+        passed = residual <= tolerance
+        expected = [Verdict(passed, "reconstruction-residual",
+                            None if passed else {"residual": residual}, tolerance - residual,
+                            {"residual": residual, "tolerance": tolerance})]
+        if eps is not None:
+            vd = entrywise_leq(ba, eps * c, verdicts[1].inputs["tol"])
+            expected.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
+        assert [float_bits(dataclasses.asdict(vd)) for vd in verdicts] == [
+            float_bits(dataclasses.asdict(vd)) for vd in expected]
+
+    def test_a_with_an_entry_off_the_diagonal_is_refused(self):
+        pair = nilpotent_commutator_factors(self.nilpotent_c, 0.5)
+        a = pair.a.copy()
+        a[0, 1] = 1e-300
+        with pytest.raises(ValueError, match="A must be diagonal"):
+            factorization_checks(self.nilpotent_c, FactorPair(a=a, b=pair.b), eps=0.5)
+
+    def test_a_with_a_negative_zero_off_the_diagonal_is_diagonal(self):
+        # A @ B reads -0.0 as zero, and so do the checks.
+        pair = nilpotent_commutator_factors(self.nilpotent_c, 0.5)
+        a = pair.a.copy()
+        a[0, 1] = a[4, 2] = -0.0
+        signed = factorization_checks(self.nilpotent_c, FactorPair(a=a, b=pair.b), eps=0.5)
+        assert signed == factorization_checks(self.nilpotent_c, pair, eps=0.5)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_rejects_bad_tol(self, tol):
