@@ -28,7 +28,6 @@ __all__ = [
     "FactorPair",
     "HalmosPair",
     "halmos_nilpotent_majorant",
-    "halmos_pair",
     "halmos_pair_scaled",
     "nilpotent_commutator_factors",
     "trace_zero_commutator_factors",
@@ -40,16 +39,15 @@ class HalmosPair:
     """Entrywise-nonnegative operators a, b with [a, b] = I + nilpotent.
 
     The commutator identity holds exactly, column by column; ``nilpotent``
-    has nil-index 3.  When eps_symbolic is True the operators carry the
-    scale parameter exactly (as EpsScalar coefficients) and the identity
-    holds as a polynomial identity in eps; numeric eps enters only when
-    compressing.
+    has nil-index 3.  The operators carry the scale parameter exactly (as
+    EpsScalar coefficients), so the identity holds as a polynomial identity
+    in eps; numeric eps enters only when compressing, and eps = 1 gives the
+    unscaled pair.
     """
 
     a: LazyOp
     b: LazyOp
     nilpotent: LazyOp
-    eps_symbolic: bool
 
     def commutator_defect(self) -> LazyOp:
         """[a, b] - I - nilpotent; every column must evaluate to empty."""
@@ -67,7 +65,7 @@ class FactorPair:
 # The nonzero blocks of the Halmos pair: operator -> (row, col) -> (coefficient,
 # word).  A word composes the even and odd isometries u and v, their adjoints
 # U and V, the pair swap w and the identity 1; each word here has norm one, so
-# block (i, j) has norm |coefficient|, times eps**(j - i) in the scaled family.
+# block (i, j) has norm |coefficient| * eps**(j - i).
 _BLOCKS = {
     "a": {(1, 2): (1, "V"), (1, 4): (3, "1"),
           (2, 2): (1, "U"), (2, 3): (1, "1"),
@@ -82,10 +80,15 @@ _BLOCKS = {
 }
 
 
-def _build_pair(eps_symbolic: bool) -> HalmosPair:
-    """The pair of _BLOCKS; with eps_symbolic, block (i, j) carries eps**(j - i).
+def halmos_pair_scaled() -> HalmosPair:
+    """The eps-scaled Halmos pair: block (i, j) of _BLOCKS carries eps**(j - i).
 
-    A block of coefficient 1 and power 0 is its bare word, any other word * monomial.
+    Each member is the unscaled pair (eps = 1) conjugated by
+    diag(e^3,e^2,e,1), so the commutator identity holds as a polynomial
+    identity in eps.  For every eps in (0, 1] a and b stay entrywise
+    nonnegative; compression norms scale like eps**-3 for a and b and like
+    eps for the nilpotent part.  A block of coefficient 1 and power 0 is its
+    bare word, any other word * monomial.
     """
     u, v, w, one = even_isometry(), odd_isometry(), pair_swap(), identity_op()
     letters = {"u": u, "v": v, "U": u.adjoint(), "V": v.adjoint(), "w": w, "1": one}
@@ -94,29 +97,11 @@ def _build_pair(eps_symbolic: bool) -> HalmosPair:
         grid = [[zero_op()] * 4 for _ in range(4)]
         for (i, j), (coeff, word) in blocks.items():
             block = functools.reduce(operator.matmul, (letters[c] for c in word))
-            power = j - i if eps_symbolic else 0
-            if (coeff, power) != (1, 0):
-                block = block * EpsScalar.monomial(coeff, power)
+            if (coeff, j - i) != (1, 0):
+                block = block * EpsScalar.monomial(coeff, j - i)
             grid[i - 1][j - 1] = block
         ops[name] = block4(grid)
-    return HalmosPair(**ops, eps_symbolic=eps_symbolic)
-
-
-def halmos_pair() -> HalmosPair:
-    """The 4x4 block pair whose commutator is the identity plus a nil-index-3
-    perturbation, with every entry of a and b nonnegative."""
-    return _build_pair(eps_symbolic=False)
-
-
-def halmos_pair_scaled() -> HalmosPair:
-    """The eps-scaled family: each member conjugated by diag(e^3,e^2,e,1).
-
-    Block (i, j) carries eps**(j - i) exactly, so the commutator identity
-    holds as a polynomial identity in eps.  For every eps in (0, 1] a and b
-    stay entrywise nonnegative; compression norms scale like eps**-3 for a
-    and b and like eps for the nilpotent part.
-    """
-    return _build_pair(eps_symbolic=True)
+    return HalmosPair(**ops)
 
 
 def halmos_nilpotent_majorant(eps: float) -> np.ndarray:

@@ -22,10 +22,8 @@ __all__ = [
     "DynamicRangeError",
     "NormCertificate",
     "UnconvergedError",
-    "as_matrix",
     "commutator",
     "entrywise_leq",
-    "identity",
     "matrix_from_json_dict",
     "max_abs",
     "operator_norm",
@@ -50,16 +48,11 @@ class DynamicRangeError(ValueError):
     """Requested parameters would overflow double precision."""
 
 
-def as_matrix(values) -> np.ndarray:
-    """Validate and copy input into a 2-D float64 array.
+def _read_only(values) -> np.ndarray:
+    """values as a validated 2-D float64 matrix, without a copy: the result may alias values.
 
     Rejects empty matrices and non-finite entries.
     """
-    return _checked(np.array(values, dtype=float))
-
-
-def _read_only(values) -> np.ndarray:
-    """as_matrix without the copy, for a caller that only reads: the result may alias values."""
     return _checked(np.asarray(values, dtype=float))
 
 
@@ -87,12 +80,6 @@ def _square_inputs(*values) -> tuple[np.ndarray, ...]:
     for other in rest:
         _require_same_shape(first, other)
     return tuple(matrices)
-
-
-def identity(n: int) -> np.ndarray:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("size must be a positive integer")
-    return np.identity(n)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -525,7 +512,7 @@ def write_json(path, obj) -> None:
     """Write obj to path as JSON, each ndarray in obj as {"rows", "cols", "data"}.
 
     obj is a matrix, or a dict with str keys whose values are matrices, such
-    dicts, or JSON values.  Each matrix is checked as as_matrix checks it,
+    dicts, or JSON values.  Each matrix is checked as _read_only checks it,
     without a copy, so a non-finite entry is refused before anything is
     written.  orjson writes every entry as the shortest decimal that reads
     back to its bits.
@@ -692,20 +679,30 @@ def _read_json_chunked(text: str) -> np.ndarray | None:
     return _checked(a.reshape(rows, cols))
 
 
+# Bytes asked for at a time once a read has not met the end of its file.
+_READ_CHUNK = 1 << 16
+
+
 def _read_text(path) -> str:
     """The file's UTF-8 text, from at most MAX_MATRIX_BYTES + 1 bytes read.
 
     f.read(n) allocates n bytes before it reads, so a regular file is read
     in one call of its size plus one byte, not of the limit.  A read that
     fills its request has not met the end: a pipe or a device, whose size
-    reads as 0, or a file that grew.  The rest is then read up to the limit.
+    reads as 0, or a file that grew.  The rest is then read in chunks of
+    _READ_CHUNK bytes up to the limit, and a short chunk is the end.
     """
     limit = MAX_MATRIX_BYTES + 1
     with open(path, "rb") as f:
         want = min(os.fstat(f.fileno()).st_size + 1, limit)
         raw = f.read(want)
         if len(raw) == want < limit:
-            raw += f.read(limit - want)
+            raw = bytearray(raw)
+            while len(raw) < limit:
+                chunk = f.read(min(_READ_CHUNK, limit - len(raw)))
+                raw += chunk
+                if len(chunk) < _READ_CHUNK:
+                    break
     if len(raw) > MAX_MATRIX_BYTES:
         raise ValueError(f"{path} is larger than {MAX_MATRIX_BYTES} bytes")
     return raw.decode("utf-8")

@@ -1,7 +1,7 @@
 """Exact scalars of the form sum_k c_k * eps**k with integer coefficients.
 
 These are the scalars of the lazy operator engine: Laurent polynomials in
-the scale parameter eps over the integers.  All ring operations are exact;
+the scale parameter eps over the integers.  Sums and products are exact;
 evaluating at a numeric eps is the only lossy step.  Only the constructor
 drops zero coefficients and range-checks the rest, so sums and products
 check the coefficients of their result, never a partial sum.
@@ -51,10 +51,6 @@ class EpsScalar:
         return cls({power: coeff})
 
     @classmethod
-    def zero(cls) -> "EpsScalar":
-        return cls()
-
-    @classmethod
     def one(cls) -> "EpsScalar":
         return cls({0: 1})
 
@@ -88,21 +84,6 @@ class EpsScalar:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "EpsScalar":
-        return EpsScalar({p: -c for p, c in self._terms.items()})
-
-    def __sub__(self, other) -> "EpsScalar":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "EpsScalar":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
-
     def __mul__(self, other) -> "EpsScalar":
         rhs = self._coerce(other)
         if rhs is None:
@@ -114,19 +95,6 @@ class EpsScalar:
         return EpsScalar(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "EpsScalar":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = EpsScalar.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def evaluate(self, eps: float) -> float:
         """Evaluate at a numeric eps > 0 (the only lossy operation); OverflowError

@@ -25,7 +25,6 @@ from .matrices import (
     _square_inputs,
     commutator,
     entrywise_leq,
-    identity,
     max_abs,
 )
 from .verdict import Verdict
@@ -37,7 +36,6 @@ __all__ = [
     "SECTION_REL_TOL",
     "certified_halmos_popa_check",
     "construct_halmos_checks",
-    "delta_threshold",
     "exact_commutator_identity_check",
     "factorization_checks",
     "finite_dim_obstructions",
@@ -88,17 +86,6 @@ def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> 
     )
 
 
-def delta_threshold(norm_a: float, norm_b: float, alpha: float = 1.0) -> float:
-    """Exclusion radius (1/alpha) * exp(-2 * alpha * norm_a * norm_b).
-
-    Below this radius no perturbation x with |x| < delta can satisfy
-    [a,b] >= e + x; equivalently, popa_bound fails for every eps strictly
-    below the returned value.
-    """
-    _check_norm_inputs(norm_a, norm_b, alpha)
-    return math.exp(-2.0 * alpha * norm_a * norm_b) / alpha
-
-
 def _window(a: np.ndarray, interior: int | None) -> np.ndarray:
     return a if interior is None else a[:interior, :interior]
 
@@ -147,7 +134,7 @@ def power_inequality_report(
     if interior is not None and not (1 <= interior <= a.shape[0]):
         raise ValueError("interior window must lie within the matrix")
     size = a.shape[0]
-    eye = identity(size)
+    eye = np.identity(size)
 
     verdicts = []
     pre_a = entrywise_leq(_window(np.zeros_like(a), interior), _window(a, interior), tol)
@@ -235,7 +222,7 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     """
     a, b, x = _square_inputs(a, b, x)
     n = a.shape[0]
-    eye = identity(n)
+    eye = np.identity(n)
 
     with np.errstate(over="ignore", invalid="ignore"):
         comm = _in_range(commutator(a, b), "the commutator AB - BA")

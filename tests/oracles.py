@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
-from commkit.matrices import _square_inputs, as_matrix, matrix_from_json_dict
+from commkit.constructions import _BLOCKS, HalmosPair
+from commkit.lazyops import block4, even_isometry, identity_op, odd_isometry, pair_swap, zero_op
+from commkit.matrices import _square_inputs, matrix_from_json_dict
 
 
 def nilpotency_index(a, tol: float | None = None) -> int | None:
@@ -37,9 +41,36 @@ def dense_factor_products(c, pair) -> tuple[float, np.ndarray]:
     return float(np.abs(residual).max()), pair.b @ pair.a
 
 
+def unscaled_halmos_pair() -> HalmosPair:
+    """The pair of _BLOCKS with each block its bare integer coefficient times its word.
+
+    No block carries a power of eps, so this is the eps = 1 member of
+    halmos_pair_scaled() built without a single monomial.
+    """
+    u, v, w, one = even_isometry(), odd_isometry(), pair_swap(), identity_op()
+    letters = {"u": u, "v": v, "U": u.adjoint(), "V": v.adjoint(), "w": w, "1": one}
+    ops = {}
+    for name, blocks in _BLOCKS.items():
+        grid = [[zero_op()] * 4 for _ in range(4)]
+        for (i, j), (coeff, word) in blocks.items():
+            block = functools.reduce(operator.matmul, (letters[c] for c in word))
+            grid[i - 1][j - 1] = block if coeff == 1 else coeff * block
+        ops[name] = block4(grid)
+    return HalmosPair(**ops)
+
+
+def delta_threshold(norm_a: float, norm_b: float, alpha: float = 1.0) -> float:
+    """The exclusion radius (1/alpha) * exp(-2 * alpha * norm_a * norm_b).
+
+    No perturbation x with |x| below it can satisfy [a,b] >= e + x, so
+    popa_bound must fail for every eps strictly below the returned value.
+    """
+    return math.exp(-2.0 * alpha * norm_a * norm_b) / alpha
+
+
 def matrix_to_json_dict(a) -> dict:
     """The dense matrix form {"rows", "cols", "data"}, whose values the writer must write."""
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=float)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": a.ravel().tolist()}
 
 

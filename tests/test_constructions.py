@@ -5,12 +5,11 @@ import pytest
 
 from commkit.constructions import (
     halmos_nilpotent_majorant,
-    halmos_pair,
     halmos_pair_scaled,
     nilpotent_commutator_factors,
     trace_zero_commutator_factors,
 )
-from commkit.lazyops import compress, even_isometry
+from commkit.lazyops import _Affine, _residue_columns, compress, even_isometry, identity_op
 from commkit.matrices import (
     DynamicRangeError,
     entrywise_leq,
@@ -18,50 +17,60 @@ from commkit.matrices import (
     operator_norm,
 )
 from commkit.scalars import EpsScalar
-from oracles import nilpotency_index
+from oracles import nilpotency_index, unscaled_halmos_pair
 
 
-def _all_coefficients_nonneg(op, depth):
-    for g in range(1, depth + 1):
-        for value in op.apply(g).values():
-            if any(c < 0 for c in value.terms.values()):
-                return False
-    return True
+def _class_labels(op):
+    """(r, label, scalar) for every label of op's residue columns r = 1..M."""
+    _, columns = _residue_columns(op)
+    return [(r, label, value)
+            for r, column in enumerate(columns, 1) for label, value in column.items()]
+
+
+def _negative(labels):
+    return [entry for entry in labels if any(c < 0 for c in entry[2].terms.values())]
 
 
 class TestHalmosPair:
     def test_commutator_is_identity_plus_nilpotent(self):
-        defect = halmos_pair().commutator_defect()
+        defect = unscaled_halmos_pair().commutator_defect()
         assert all(defect.apply(g) == {} for g in range(1, 65))
+
+    @pytest.mark.parametrize("name", ["a", "b", "nilpotent"])
+    def test_eps_one_member_is_the_unscaled_pair(self, name):
+        scaled, plain = getattr(halmos_pair_scaled(), name), getattr(unscaled_halmos_pair(), name)
+        for m in (1, 7, 64, 129):
+            assert np.array_equal(compress(scaled, m, 1.0), compress(plain, m, 1.0))
 
     def test_scaled_commutator_identity_is_symbolic(self):
         defect = halmos_pair_scaled().commutator_defect()
         assert all(defect.apply(g) == {} for g in range(1, 65))
 
     def test_nilpotent_cubes_to_zero(self):
-        nil = halmos_pair().nilpotent
+        nil = halmos_pair_scaled().nilpotent
         cube = nil @ nil @ nil
         assert all(cube.apply(g) == {} for g in range(1, 65))
 
     def test_nilpotent_square_is_nonzero(self):
         # the square's column at slot-4 internal 1: the (1,4) block sends it
-        # through swap-even-swap to slot-1 internal 3 with weight 8, the
-        # (2,4) block through even^2-swap to slot-2 internal 8 with -8
-        nil = halmos_pair().nilpotent
+        # through swap-even-swap to slot-1 internal 3 with weight 8*eps**3,
+        # the (2,4) block through even^2-swap to slot-2 internal 8 with -8*eps**2
+        nil = halmos_pair_scaled().nilpotent
         square = nil @ nil
-        assert square.apply(4) == {9: EpsScalar.integer(8), 30: EpsScalar.integer(-8)}
+        assert square.apply(4) == {9: EpsScalar.monomial(8, 3), 30: EpsScalar.monomial(-8, 2)}
 
-    def test_members_are_entrywise_nonnegative(self):
-        pair = halmos_pair()
-        assert _all_coefficients_nonneg(pair.a, 200)
-        assert _all_coefficients_nonneg(pair.b, 200)
+    @pytest.mark.parametrize("name, labels", [("a", 12), ("b", 6)])
+    def test_members_are_nonnegative_on_every_column_for_every_eps(self, name, labels):
+        # Every column M*t + r is class r's labels at t, and where two labels
+        # name the same row their scalars add.  So nonnegative coefficients on
+        # every label make every entry nonnegative at every eps > 0.
+        found = _class_labels(getattr(halmos_pair_scaled(), name))
+        assert len(found) == labels
+        assert _negative(found) == []
 
-    def test_scaled_members_are_nonnegative_for_every_eps(self):
-        # all coefficients nonnegative makes every evaluation at eps > 0 nonnegative
-        pair = halmos_pair_scaled()
-        assert pair.eps_symbolic
-        assert _all_coefficients_nonneg(pair.a, 200)
-        assert _all_coefficients_nonneg(pair.b, 200)
+    def test_positivity_check_finds_a_negative_label(self):
+        found = _class_labels(halmos_pair_scaled().a - identity_op())
+        assert (1, _Affine(8, 1), EpsScalar.integer(-1)) in _negative(found)
 
     def test_scaled_corner_blocks(self):
         a = halmos_pair_scaled().a
@@ -76,7 +85,7 @@ class TestHalmosPair:
         assert nil.apply(3) == {5: EpsScalar.monomial(-2, 2), 6: EpsScalar.monomial(2, 1)}
 
     def test_compressed_nilpotent_has_index_three(self):
-        nc = compress(halmos_pair().nilpotent, 64, 1.0)
+        nc = compress(halmos_pair_scaled().nilpotent, 64, 1.0)
         assert nilpotency_index(nc) == 3
 
     def test_majorant_entries(self):

@@ -30,10 +30,8 @@ from commkit.matrices import (
     _family_blocks,
     _labels,
     _listed,
-    as_matrix,
     commutator,
     entrywise_leq,
-    identity,
     max_abs,
     NormCertificate,
     matrix_from_json_dict,
@@ -95,38 +93,16 @@ def test_oracle_agrees_with_closed_form():
 
 class TestValidation:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="nonempty"):
+            max_abs(np.zeros((0, 3)))
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, float("nan")]])
+        with pytest.raises(ValueError, match="finite"):
+            max_abs([[1.0, float("nan")]])
 
     def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            as_matrix([[float("inf")]])
-
-    def test_copies_input(self):
-        src = np.ones((2, 2))
-        out = as_matrix(src)
-        out[0, 0] = 5.0
-        assert src[0, 0] == 1.0
-
-
-class TestIdentityTrace:
-    def test_identity_one(self):
-        assert identity(1).tolist() == [[1.0]]
-
-    def test_identity_two(self):
-        assert identity(2).tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-    def test_identity_trace(self):
-        assert np.trace(identity(3)) == 3.0
-        assert np.trace(identity(4)) == 4.0
-
-    def test_identity_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            identity(0)
+        with pytest.raises(ValueError, match="finite"):
+            max_abs([[float("inf")]])
 
 
 class TestMaxAbs:
@@ -142,7 +118,7 @@ class TestMaxAbs:
 class TestCommutator:
     def test_identity_commutes(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.all(commutator(identity(2), b) == 0.0)
+        assert np.all(commutator(np.identity(2), b) == 0.0)
 
     def test_frozen_2x2(self):
         # direct multiplication: diag(1,2)@E12 = E12, E12@diag(1,2) = 2*E12
@@ -166,10 +142,10 @@ class TestCommutator:
 
 class TestEntrywiseLeq:
     def test_zero_below_identity(self):
-        assert entrywise_leq(np.zeros((2, 2)), identity(2), 0.0).passed
+        assert entrywise_leq(np.zeros((2, 2)), np.identity(2), 0.0).passed
 
     def test_identity_not_below_zero(self):
-        vd = entrywise_leq(identity(2), np.zeros((2, 2)), 0.0)
+        vd = entrywise_leq(np.identity(2), np.zeros((2, 2)), 0.0)
         assert not vd.passed
         assert vd.witness == {"row": 1, "col": 1, "value": -1.0}
 
@@ -251,7 +227,7 @@ class TestOperatorNorm:
 
     def test_rejects_bad_rel_tol(self):
         with pytest.raises(ValueError):
-            operator_norm(identity(2), rel_tol=0.0)
+            operator_norm(np.identity(2), rel_tol=0.0)
 
     @pytest.mark.parametrize("a", [np.identity(2), np.zeros((2, 2))], ids=["nonzero", "zero"])
     def test_rejects_nan_rel_tol(self, a):
@@ -273,12 +249,12 @@ class TestOperatorNorm:
         np.ones((2, 2, 2)),
         [[1.0, 2.0], [3.0]],
     ])
-    def test_rejects_what_as_matrix_rejects(self, values):
+    def test_rejects_invalid_matrices(self, values):
         with pytest.raises(ValueError):
             operator_norm(values)
 
-    def test_reads_lists_and_vectors_as_as_matrix_does(self):
-        assert operator_norm([3.0, 4.0]) == operator_norm(as_matrix([[3.0, 4.0]]))
+    def test_reads_lists_and_vectors_as_rows(self):
+        assert operator_norm([3.0, 4.0]) == operator_norm(np.array([[3.0, 4.0]]))
         assert operator_norm([[1, 2], [3, 4]]) == operator_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     @pytest.mark.parametrize("a", [
@@ -584,7 +560,7 @@ class TestOperatorNormComponents:
             m = np.zeros((9, 7))
             m[2:6, 1:4] = rng.uniform(0.5, 1.0, (4, 3))
         cert = operator_norm(m)
-        assert cert == _certificate(as_matrix(m))
+        assert cert == _certificate(np.array(m, dtype=float))
         assert cert.components == 1
 
     def test_zero_matrix_has_one_component(self):
@@ -803,7 +779,7 @@ class TestNilpotencyIndex:
         assert nilpotency_index(j) == 3
 
     def test_identity_is_not_nilpotent(self):
-        assert nilpotency_index(identity(5)) is None
+        assert nilpotency_index(np.identity(5)) is None
 
     def test_explicit_flat_tolerance(self):
         a = np.array([[0.0, 1e-6], [0.0, 0.0]])
@@ -1304,6 +1280,77 @@ class TestBoundedRead:
         with pytest.raises(ValueError, match="is larger than 16 bytes"):
             read_matrix(path)
         assert reads == [17]
+
+    @staticmethod
+    def _read_pipe(tmp_path, monkeypatch, payload, reads):
+        """read_matrix on a FIFO that carries payload; reads gets the size of each read."""
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.inner.close()
+
+            def fileno(self):
+                return self.inner.fileno()
+
+            def read(self, n):
+                reads.append(n)
+                return self.inner.read(n)
+
+        def write():
+            try:
+                with open(path, "wb") as f:
+                    f.write(payload)
+            except BrokenPipeError:  # the reader closed the pipe at its limit
+                pass
+
+        monkeypatch.setattr(matrices, "open", lambda p, mode: Recording(open(p, mode)),
+                            raising=False)
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            return read_matrix(path)
+        finally:
+            writer.join(timeout=10)
+
+    @staticmethod
+    def _ones_row(length):
+        """A one-row CSV of ones, length bytes long."""
+        k = (length + 1) // 2
+        return (",".join("1" * k) + "\n" * (length % 2 == 0)).encode(), np.ones((1, k))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("length", [1, 2, 4, 5, 6, 9, 10])
+    def test_pipe_is_read_in_chunks_to_its_first_short_one(self, tmp_path, monkeypatch, length):
+        # A pipe's size reads as 0: one byte, then chunks until one comes back
+        # short, which is an empty one when the rest is a whole number of chunks.
+        payload, expected = self._ones_row(length)
+        monkeypatch.setattr(matrices, "_READ_CHUNK", 4)
+        reads = []
+        assert np.array_equal(self._read_pipe(tmp_path, monkeypatch, payload, reads), expected)
+        assert reads == [1] + [4] * ((length - 1) // 4 + 1)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("length", [9, 10, 40])
+    def test_pipe_chunks_stop_at_the_limit(self, tmp_path, monkeypatch, length):
+        # The last chunk asks only for what reaches one byte past the limit.
+        payload, expected = self._ones_row(length)
+        monkeypatch.setattr(matrices, "_READ_CHUNK", 4)
+        monkeypatch.setattr(matrices, "MAX_MATRIX_BYTES", 9)
+        reads = []
+        if length <= 9:
+            assert np.array_equal(self._read_pipe(tmp_path, monkeypatch, payload, reads), expected)
+        else:
+            with pytest.raises(ValueError, match="is larger than 9 bytes"):
+                self._read_pipe(tmp_path, monkeypatch, payload, reads)
+        assert reads == [1, 4, 4, 1]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_pipe_longer_than_the_limit_is_refused(self, tmp_path, monkeypatch):

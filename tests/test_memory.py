@@ -6,6 +6,8 @@ a write into one raise, and tracemalloc bounds the arrays each check makes.
 """
 
 import dataclasses
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -217,3 +219,29 @@ class TestReadMatrixMemory:
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,0\n", encoding="utf-8")
         assert self._peak_bytes(path) < 1 << 16
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_pipe_allocates_no_read_buffer_beyond_a_chunk(self, tmp_path):
+        # A pipe's size reads as 0.  One read of the rest up to the limit
+        # allocated 32 MiB before it read the 8 bytes (33.6 MB traced); read in
+        # 64 KiB chunks, the peak is 70 KB.
+        regular, fifo = tmp_path / "m.csv", tmp_path / "m.fifo"
+        regular.write_bytes(b"0,1\n0,0\n")
+        os.mkfifo(fifo)
+        read_matrix(regular)  # warms up the parser, as _peak_bytes does
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(regular.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            a = read_matrix(fifo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10)
+        assert a.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert peak < 1 << 20

@@ -19,13 +19,12 @@ from commkit.constructions import (
     trace_zero_commutator_factors,
 )
 from commkit.lazyops import block4, compress, even_isometry, identity_op, pair_swap, zero_op
-from commkit.matrices import DynamicRangeError, commutator, entrywise_leq, identity
+from commkit.matrices import DynamicRangeError, commutator, entrywise_leq
 from commkit.verdict import Verdict
 from commkit.verifiers import (
     MAX_POWER,
     certified_halmos_popa_check,
     construct_halmos_checks,
-    delta_threshold,
     exact_commutator_identity_check,
     factorization_checks,
     finite_dim_obstructions,
@@ -35,7 +34,7 @@ from commkit.verifiers import (
     sweep_checks,
     wielandt_violation_witness,
 )
-from oracles import dense_factor_products, float_bits
+from oracles import delta_threshold, dense_factor_products, float_bits
 
 norms = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 alphas = st.floats(min_value=1.0, max_value=4.0, allow_nan=False)
@@ -69,16 +68,14 @@ class TestPopaBound:
         with pytest.raises(ValueError):
             popa_bound(1.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("check", [popa_bound, delta_threshold])
     @pytest.mark.parametrize("norm, message", [
         (math.nan, "norm_a must be finite"),
         (math.inf, "norm_a must be finite"),
         (-1.0, "norms must be nonnegative"),
     ])
-    def test_rejects_bad_norm(self, check, norm, message):
-        args = (norm, 1.0, 0.5) if check is popa_bound else (norm, 1.0)
+    def test_rejects_bad_norm(self, norm, message):
         with pytest.raises(ValueError, match=message):
-            check(*args)
+            popa_bound(norm, 1.0, 0.5)
 
     def test_subnormal_eps_keeps_a_finite_bound(self):
         # 1 / 1e-320 overflows; the bound is ln(1e320) / 2, about 368.4
@@ -92,15 +89,12 @@ class TestPopaBound:
 
 
 class TestDeltaThreshold:
+    # delta_threshold is the test oracle's exclusion radius.
     def test_unit_norms(self):
         assert delta_threshold(1.0, 1.0) == pytest.approx(math.exp(-2.0))
 
     def test_zero_norm(self):
         assert delta_threshold(0.0, 3.0, 2.0) == pytest.approx(0.5)
-
-    def test_rejects_small_alpha(self):
-        with pytest.raises(ValueError):
-            delta_threshold(1.0, 1.0, 0.5)
 
     @given(norms, norms, alphas)
     def test_duality_with_popa_bound(self, norm_a, norm_b, alpha):
@@ -114,7 +108,7 @@ class TestPowerInequality:
         # choosing x := [a,b] - I makes the hypothesis hold with equality
         a = np.abs(rng.standard_normal((n, n)))
         b = rng.standard_normal((n, n))
-        x = commutator(a, b) - identity(n)
+        x = commutator(a, b) - np.identity(n)
         return a, b, x
 
     def test_base_case_equals_hypothesis(self):
@@ -145,7 +139,7 @@ class TestPowerInequality:
             a = np.abs(rng.standard_normal((n, n)))
             b = rng.standard_normal((n, n))
             p = np.abs(rng.standard_normal((n, n)))
-            x = commutator(a, b) - identity(n) - p
+            x = commutator(a, b) - np.identity(n) - p
             scale = max(np.abs(a).max(), 1.0) ** 6 * max(np.abs(x).max(), 1.0)
             verdicts = power_inequality_report(a, b, x, n_max=5, tol=1e-9 * scale)
             assert verdicts[0].passed and verdicts[1].passed
@@ -239,7 +233,7 @@ class TestFiniteDimObstructions:
     def test_identity_x_passes_everything(self):
         n = 3
         zero = np.zeros((n, n))
-        verdicts = finite_dim_obstructions(zero, zero, identity(n))
+        verdicts = finite_dim_obstructions(zero, zero, np.identity(n))
         assert [v.passed for v in verdicts] == [True, True, True, True]
         assert verdicts[3].witness["identity_defect"] == 0.0
 
@@ -262,22 +256,22 @@ class TestFiniteDimObstructions:
             a = rng.standard_normal((n, n))
             b = rng.standard_normal((n, n))
             p = np.abs(rng.standard_normal((n, n)))
-            instances.append((a, b, identity(n) - commutator(a, b) + p, True, 1e-9))
+            instances.append((a, b, np.identity(n) - commutator(a, b) + p, True, 1e-9))
         # With A = B = 0 the hypothesis is X >= I entrywise.  Negative trace;
         # eigenvalues 1 +- 2i; a strongly non-normal X, all of whose
         # eigenvalues are 1, that satisfies the hypothesis; and X = I, where
         # tr X = n is tight, with a tolerance far below n^2 u.
         for x, holds, tol in (
-            (-(identity(3) + np.abs(rng.standard_normal((3, 3)))), False, 1e-9),
+            (-(np.identity(3) + np.abs(rng.standard_normal((3, 3)))), False, 1e-9),
             (np.array([[2.0, -5.0], [1.0, 0.0]]), False, 1e-9),
-            (identity(4) + np.triu(np.full((4, 4), 1e6), 1), True, 1e-9),
-            (identity(400), True, 1e-12),
+            (np.identity(4) + np.triu(np.full((4, 4), 1e6), 1), True, 1e-9),
+            (np.identity(400), True, 1e-12),
         ):
             instances.append((np.zeros_like(x), np.zeros_like(x), x, holds, tol))
         # Tight with large diagonal entries: X = I - [A,B] = diag(1 - 1e8, 1 + 1e8),
         # every value exact and the hypothesis met with margin 0.
         a = np.array([[0.0, 1e4], [0.0, 0.0]])
-        instances.append((a, a.T, identity(2) - commutator(a, a.T), True, 1e-9))
+        instances.append((a, a.T, np.identity(2) - commutator(a, a.T), True, 1e-9))
         for a, b, x, holds, tol in instances:
             hyp, trace_vd, spec_vd, _ = finite_dim_obstructions(a, b, x, tol)
             # The certified lower sides against independent oracles.
@@ -454,14 +448,14 @@ class TestExactChecks:
 
     def test_wrong_nilpotent_breaks_the_identity(self):
         pair = halmos_pair_scaled()
-        broken = HalmosPair(pair.a, pair.b, zero_op(), pair.eps_symbolic)
+        broken = HalmosPair(pair.a, pair.b, zero_op())
         vd = exact_commutator_identity_check(broken)
         assert not vd.passed
         assert set(vd.witness) == {"column", "basis_index", "value"}
 
     def test_identity_is_not_nilpotent(self):
         pair = halmos_pair_scaled()
-        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op(), True))
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, identity_op()))
         assert not vd.passed
         assert vd.witness == {"cube_column": 1, "support": [1]}
 
@@ -471,7 +465,7 @@ class TestExactChecks:
         z, i, us = zero_op(), identity_op(), even_isometry().adjoint()
         nil = block4([[z, i, z, z], [z, z, us @ us @ us @ us @ us @ us, z], [z] * 4, [z] * 4])
         pair = halmos_pair_scaled()
-        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, nil, True))
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, nil))
         assert vd.passed
         assert vd.inputs["square_nonzero_column"] == 255
         square = nil @ nil
@@ -479,7 +473,7 @@ class TestExactChecks:
 
     def test_zero_square_is_an_inconsistency(self):
         pair = halmos_pair_scaled()
-        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, zero_op(), True))
+        vd = nil_index_three_check(HalmosPair(pair.a, pair.b, zero_op()))
         assert not vd.passed
         assert "inconsistency" in vd.witness
 
@@ -494,7 +488,7 @@ class TestResidueProof:
 
     def test_swap_mutant_fails_at_column_4(self):
         pair = halmos_pair_scaled()
-        mutant = HalmosPair(pair.a, pair.b, _swap_in_block_44(pair.nilpotent), True)
+        mutant = HalmosPair(pair.a, pair.b, _swap_in_block_44(pair.nilpotent))
         vd = exact_commutator_identity_check(mutant)
         assert not vd.passed
         assert vd.witness == {"column": 4, "basis_index": 8, "value": "EpsScalar(-1)"}
@@ -508,7 +502,7 @@ class TestResidueProof:
     ], ids=["swap-in-block-44", "doubled", "plus-identity", "times-swap"])
     def test_witnesses_are_the_first_nonzero_columns(self, mutate):
         pair = halmos_pair_scaled()
-        mutant = HalmosPair(pair.a, pair.b, mutate(pair.nilpotent), True)
+        mutant = HalmosPair(pair.a, pair.b, mutate(pair.nilpotent))
         defect = mutant.commutator_defect()
         g = next(g for g in range(1, 65) if defect.apply(g))
         idx, value = next(iter(defect.apply(g).items()))
@@ -673,13 +667,13 @@ class TestFactorizationChecks:
 class TestToleranceValidation:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_obstructions_reject_bad_tol(self, tol):
-        eye = identity(2)
+        eye = np.identity(2)
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             finite_dim_obstructions(eye, eye, eye, tol=tol)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_power_report_rejects_bad_tol(self, tol):
-        eye = identity(2)
+        eye = np.identity(2)
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             power_inequality_report(eye, eye, eye, n_max=2, tol=tol)
 
