@@ -111,7 +111,11 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     a, b = _read_only(a), _read_only(b)
     _require_same_shape(a, b)
     _check_tol(tol)
-    diff = b - a
+    return _least_entry(b - a, tol)
+
+
+def _least_entry(diff: np.ndarray, tol: float) -> Verdict:
+    """The verdict of entrywise_leq(a, b, tol) from diff = b - a, with a valid tol."""
     flat_idx = int(diff.argmin())
     i, j = np.unravel_index(flat_idx, diff.shape)
     worst = float(diff[i, j])
@@ -124,7 +128,7 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
         claim="entrywise-leq",
         witness=witness,
         margin=worst,
-        inputs={"shape": list(a.shape), "tol": tol},
+        inputs={"shape": list(diff.shape), "tol": tol},
     )
 
 

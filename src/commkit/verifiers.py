@@ -21,7 +21,9 @@ from .matrices import (
     _check_tol,
     _entries_norm,
     _gamma,
+    _least_entry,
     _listed,
+    _read_only,
     _square_inputs,
     commutator,
     entrywise_leq,
@@ -34,7 +36,6 @@ __all__ = [
     "MAX_POWER",
     "MAX_WINDOW",
     "SECTION_REL_TOL",
-    "certified_halmos_popa_check",
     "construct_halmos_checks",
     "exact_commutator_identity_check",
     "factorization_checks",
@@ -47,16 +48,6 @@ __all__ = [
 ]
 
 
-def _check_norm_inputs(norm_a: float, norm_b: float, alpha: float) -> None:
-    for name, value in (("norm_a", norm_a), ("norm_b", norm_b), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if norm_a < 0.0 or norm_b < 0.0:
-        raise ValueError("norms must be nonnegative")
-    if alpha < 1.0:
-        raise ValueError("normality constants are at least 1")
-
-
 def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> Verdict:
     """Check norm_a * norm_b >= (1 / 2*alpha) * ln(1 / (alpha * eps)).
 
@@ -66,14 +57,21 @@ def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> 
     pair: the perturbation eps is too small for these norms.  Raises
     DynamicRangeError when norm_a * norm_b overflows.
     """
-    _check_norm_inputs(norm_a, norm_b, alpha)
+    for name, value in (("norm_a", norm_a), ("norm_b", norm_b), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    if norm_a < 0.0 or norm_b < 0.0:
+        raise ValueError("norms must be nonnegative")
+    if alpha < 1.0:
+        raise ValueError("normality constants are at least 1")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError("eps must be positive and finite")
     product = norm_a * norm_b
     if math.isinf(product):
         raise DynamicRangeError(f"norm_a * norm_b = {norm_a} * {norm_b} overflows double precision")
-    # From the logarithms: 1 / (alpha * eps) overflows for a subnormal eps.
-    bound = -(math.log(alpha) + math.log(eps)) / (2.0 * alpha)
+    # From the logarithms: 1 / (alpha * eps) overflows for a subnormal eps.  Dividing by
+    # alpha, then by 2, gives the bits of dividing by 2 alpha, which overflows past 8.98e307.
+    bound = -(math.log(alpha) + math.log(eps)) / alpha / 2.0
     margin = product - bound
     passed = margin >= 0.0
     witness = None if passed else {"product": product, "bound": bound}
@@ -324,8 +322,12 @@ def factorization_checks(
         # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
         rounding = tol + _gamma(8) * (1.0 + 2.0 * eps)
         ba_tol = _scaled_tol(rounding, 1.0 + eps * c_max)
-        vd = entrywise_leq(b * d, eps * c, ba_tol)
-        verdicts.append(dataclasses.replace(vd, claim="ba-below-eps-c"))
+        # entrywise_leq(BA, eps C, ba_tol), with its difference eps C - BA written over eps C.
+        ba = _read_only(b * d)
+        diff = _read_only(eps * c)
+        _check_tol(ba_tol)
+        diff -= ba
+        verdicts.append(dataclasses.replace(_least_entry(diff, ba_tol), claim="ba-below-eps-c"))
     return verdicts
 
 
@@ -439,93 +441,53 @@ def _check_window(window: int) -> None:
         raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
 
 
-def certified_halmos_popa_check(eps: float, window: int = 512) -> Verdict:
-    """One-sided certified check of the norm lower bound on the scaled pair.
-
-    Computes certified lower bounds L_a <= |a|, L_b <= |b| from finite
-    sections (a compression never overestimates the operator norm) and a
-    certified upper bound U >= |nilpotent| from the exact 4x4 block-norm
-    majorant, then checks L_a * L_b >= (1/2) ln(1 / U).  Only
-    one-sided certificates enter, so a pass is a genuine certificate of the
-    bound; a certified violation would indicate an implementation bug.
-    The inputs also report the section lower bound L_n <= |nilpotent|.
-
-    Each window x window section of halmos_pair_scaled() at eps is certified
-    from its listed entries (lazyops._section_entries), and no dense section
-    is built.  Raises ValueError for eps outside (0, 1] and then for a window
-    that is not an integer in [16, MAX_WINDOW], before any section is
-    listed, and the UnconvergedError of a norm that does not converge.
-    """
-    _check_eps(eps)
-    _check_window(window)
-    (vd,) = _popa_checks([eps], window)
-    if isinstance(vd, UnconvergedError):
-        raise vd
-    return vd
-
-
-def _popa_checks(grid: list[float], window: int) -> list[Verdict | UnconvergedError]:
-    """certified_halmos_popa_check at each eps of grid, or the UnconvergedError it raises there.
-
-    Each operator's sections are listed at every eps at once, as one family,
-    and the majorants make a fourth; the four are certified in one pass, the
-    blocks of each shape as one stack.  Any other error is raised as the
-    points, taken one at a time in grid order, first meet it.
-    """
-    try:
-        return _popa_batch(grid, window)
-    except (OverflowError, DynamicRangeError):
-        for eps in grid:
-            _popa_batch([eps], window)
-        raise
-
-
-def _popa_batch(grid: list[float], window: int) -> list[Verdict | UnconvergedError]:
-    """The results of _popa_checks, from one _entries_norm pass over the whole grid."""
-    pair = halmos_pair_scaled()
-    families = [((window, window), _section_entries(op, window, grid), SECTION_REL_TOL)
-                for op in (pair.a, pair.b, pair.nilpotent)]
-    majorants = np.array([halmos_nilpotent_majorant(eps) for eps in grid])
-    certs = _entries_norm(families + [((4, 4), _listed(majorants), 1e-12)])
-    results = []
-    for eps, point in zip(grid, zip(*certs)):
-        failed = [cert for cert in point if isinstance(cert, UnconvergedError)]
-        if failed:  # the first norm that did not converge, in the order a, b, N, majorant
-            results.append(failed[0])
-            continue
-        norm_a, norm_b, norm_n, majorant = point
-        vd = popa_bound(norm_a.lower, norm_b.lower, majorant.upper)
-        results.append(dataclasses.replace(
-            vd,
-            claim="certified-popa-scaled-pair",
-            inputs={
-                "eps": eps,
-                "window": window,
-                "norm_a_lower": norm_a.lower,
-                "norm_b_lower": norm_b.lower,
-                "norm_n_lower": norm_n.lower,
-                "norm_n_upper": majorant.upper,
-                "bound": -math.log(majorant.upper) / 2.0,  # what popa_bound compared against
-            },
-        ))
-    return results
-
-
 def _norm_rows(grid: list[float], window: int) -> list[tuple[dict, Verdict | None]]:
-    """certified_halmos_popa_check at each eps of grid as a table row, and its verdict.
+    """The certified norm row at each eps of grid, and its popa_bound verdict.
 
-    A norm that does not converge marks its point's row, and that verdict is None.
+    The row holds certified lower bounds L_a <= |a|, L_b <= |b| and
+    L_n <= |nilpotent| from the window x window sections of
+    halmos_pair_scaled() at eps (a compression never overestimates the
+    operator norm), and a certified upper bound U >= |nilpotent| from the
+    exact 4x4 block-norm majorant.  The verdict is popa_bound(L_a, L_b, U),
+    the check L_a * L_b >= (1/2) ln(1 / U).  Only one-sided certificates
+    enter, so a pass is a genuine certificate of the bound; a certified
+    violation would indicate an implementation bug.
+
+    Each operator's sections are listed from their entries
+    (lazyops._section_entries) at every eps at once, as one family, and the
+    majorants make a fourth; the four are certified in one _entries_norm
+    pass, the blocks of each shape as one stack.  A norm that does not
+    converge marks its point's row with the error, and that verdict is None.
+    An OverflowError or DynamicRangeError is raised as the points, taken one
+    at a time in grid order, first meet it.
     """
-    rows = []
-    for eps, vd in zip(grid, _popa_checks(grid, window)):
-        row: dict = {"eps": eps, "window": window, "converged": True}
-        if isinstance(vd, UnconvergedError):
-            row.update(converged=False, error=str(vd))
-            vd = None
-        else:
-            row.update(vd.inputs, margin=vd.margin)
-        rows.append((row, vd))
-    return rows
+    pair = halmos_pair_scaled()
+    try:
+        families = [((window, window), _section_entries(op, window, grid), SECTION_REL_TOL)
+                    for op in (pair.a, pair.b, pair.nilpotent)]
+        majorants = np.array([halmos_nilpotent_majorant(eps) for eps in grid])
+        certs = _entries_norm(families + [((4, 4), _listed(majorants), 1e-12)])
+        rows = []
+        for eps, point in zip(grid, zip(*certs)):
+            row: dict = {"eps": eps, "window": window, "converged": True}
+            failed = [cert for cert in point if isinstance(cert, UnconvergedError)]
+            if failed:  # the first norm that did not converge, in the order a, b, N, majorant
+                row.update(converged=False, error=str(failed[0]))
+                rows.append((row, None))
+                continue
+            norm_a, norm_b, norm_n, majorant = point
+            vd = popa_bound(norm_a.lower, norm_b.lower, majorant.upper)
+            row.update(norm_a_lower=norm_a.lower, norm_b_lower=norm_b.lower,
+                       norm_n_lower=norm_n.lower, norm_n_upper=majorant.upper,
+                       bound=-math.log(majorant.upper) / 2.0,  # what popa_bound compared against
+                       margin=vd.margin)
+            rows.append((row, vd))
+        return rows
+    except (OverflowError, DynamicRangeError):
+        if len(grid) > 1:
+            for eps in grid:
+                _norm_rows([eps], window)
+        raise
 
 
 def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dict, dict]:
@@ -551,13 +513,13 @@ def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dic
 def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], dict | None, list]:
     """What sweep reports over an eps grid: (rows, verdicts, slopes, notes).
 
-    Each point gives a row and, if its norms converged, the verdict of
-    certified_halmos_popa_check, claimed as certified-popa-eps-<eps>; the
-    points are certified as one batch (_norm_rows).  Slopes
-    are fitted to the converged rows; the notes say why there are none, or
-    how uncertain they are.  Raises ValueError, before any section is listed,
-    for an empty grid, a value outside (0, 1] or repeated, or a window that is not
-    an integer in [16, MAX_WINDOW], and UnconvergedError when no point converged.
+    Each point gives its certified norm row (_norm_rows) and, if its norms
+    converged, its popa_bound verdict, claimed as certified-popa-eps-<eps>;
+    the points are certified as one batch.  Slopes are fitted to the
+    converged rows; the notes say why there are none, or how uncertain they
+    are.  Raises ValueError, before any section is listed, for an empty grid,
+    a value outside (0, 1] or repeated, or a window that is not an integer
+    in [16, MAX_WINDOW], and UnconvergedError when no point converged.
     """
     if not grid:
         raise ValueError("grid is empty")

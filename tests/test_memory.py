@@ -182,12 +182,19 @@ class TestMemoryBounds:
         text = _peak(orjson.dumps, dense, None, orjson.OPT_SERIALIZE_NUMPY)
         assert _peak(write_json, tmp_path / "w.json", {"A": a, "B": b}) < text + 0.5
 
-    def test_trace_zero_checks_form_no_dense_product(self):
-        # d_i b_ij and the difference b_ij d_j it is reduced by: 2.1 (3.0 with the
-        # dense products AB and BA); slack 0.4 arrays.
-        c = _BIG["c_tz"]
-        pair = trace_zero_commutator_factors(c)
-        assert _peak(factorization_checks, c, pair) < 2.5
+    @pytest.mark.parametrize("kind", ["tracezero", "nilpotent"])
+    def test_factorization_checks_form_no_dense_product(self, kind):
+        # Trace zero: d_i b_ij and the difference b_ij d_j it is reduced by, 2.1 (3.0 with
+        # the dense products AB and BA).  Nilpotent: BA and eps C - BA written over eps C,
+        # with a finiteness mask, 2.1 (3.0 with eps C and the difference apart).  Slack
+        # 0.4 arrays.
+        if kind == "tracezero":
+            c, args = _BIG["c_tz"], ()
+            pair = trace_zero_commutator_factors(c)
+        else:
+            c, args = _BIG["c_nil"], (1e-9, 0.5)
+            pair = nilpotent_commutator_factors(c, 0.5)
+        assert _peak(factorization_checks, c, pair, *args) < 2.5
 
 
 class TestReadMatrixMemory:

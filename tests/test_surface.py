@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "UnconvergedError",
     "Verdict",
     "block4",
-    "certified_halmos_popa_check",
     "commutator",
     "compress",
     "construct_halmos_checks",

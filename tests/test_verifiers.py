@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from commkit import lazyops, verifiers
+from commkit.cli import main
 from commkit.constructions import (
     FactorPair,
     HalmosPair,
@@ -23,7 +24,6 @@ from commkit.matrices import DynamicRangeError, commutator, entrywise_leq
 from commkit.verdict import Verdict
 from commkit.verifiers import (
     MAX_POWER,
-    certified_halmos_popa_check,
     construct_halmos_checks,
     exact_commutator_identity_check,
     factorization_checks,
@@ -82,6 +82,15 @@ class TestPopaBound:
         vd = popa_bound(20.0, 20.0, 1e-320)
         assert vd.passed
         assert vd.margin == pytest.approx(400.0 - 160.0 * math.log(10.0))
+
+    def test_alpha_whose_double_overflows_keeps_a_positive_bound(self):
+        # 2 * 1e308 overflows; the bound is ln(1 / (1e308 * 5e-324)) / 2e308, about 1.7622e-307
+        vd = popa_bound(0.0, 0.0, 5e-324, 1e308)
+        assert not vd.passed
+        assert vd.witness["bound"] == pytest.approx(1.7622e-307, rel=1e-4)
+        argv = ["verify", "popa", "--norm-a", "0", "--norm-b", "0", "--eps", "5e-324",
+                "--alpha", "1e308"]
+        assert main(argv) == 1
 
     def test_norm_product_overflow_is_a_range_error(self):
         with pytest.raises(DynamicRangeError, match="overflows"):
@@ -302,37 +311,45 @@ class TestFiniteDimObstructions:
 
 
 class TestCertifiedCheck:
+    """The certified norm row of construct_halmos_checks and the verdicts of sweep_checks."""
+
     def test_eps_one_is_trivial(self):
-        vd = certified_halmos_popa_check(1.0, window=64)
+        rows, (vd,), _, _ = sweep_checks([1.0], 64)
         assert vd.passed
-        assert vd.inputs["bound"] < 0.0
+        assert rows[0]["bound"] < 0.0
 
     def test_small_eps_passes_with_positive_margin(self):
-        vd = certified_halmos_popa_check(0.1, window=128)
+        rows, (vd,), _, _ = sweep_checks([0.1], 128)
         assert vd.passed
         assert vd.margin > 0.0
-        assert vd.inputs["norm_a_lower"] > 100.0
+        assert rows[0]["norm_a_lower"] > 100.0
 
     def test_margin_behaves_across_grid(self):
-        previous = None
-        for eps in (0.4, 0.2, 0.1):
-            vd = certified_halmos_popa_check(eps, window=128)
-            assert vd.passed
-            if previous is not None:
-                assert vd.margin > previous
-            previous = vd.margin
+        _, verdicts, _, _ = sweep_checks([0.4, 0.2, 0.1], 128)
+        assert all(vd.passed for vd in verdicts)
+        margins = [vd.margin for vd in verdicts]
+        assert margins == sorted(set(margins))
 
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            certified_halmos_popa_check(0.0)
-        with pytest.raises(ValueError):
-            certified_halmos_popa_check(1.5)
-        with pytest.raises(ValueError):
-            certified_halmos_popa_check(0.5, window=8)
+    @pytest.mark.parametrize("entry", [
+        construct_halmos_checks,
+        lambda eps, window: sweep_checks([eps], window),
+    ], ids=["construct_halmos_checks", "sweep_checks"])
+    @pytest.mark.parametrize("eps, window, message", [
+        (0.0, 512, r"eps must lie in \(0, 1\]"),
+        (1.5, 512, r"eps must lie in \(0, 1\]"),
+        (0.5, 8, "window must be at least 16"),
+    ], ids=["eps-0", "eps-1.5", "window-8"])
+    def test_validates_inputs(self, entry, eps, window, message):
+        with pytest.raises(ValueError, match=message):
+            entry(eps, window)
 
-    def test_rejects_oversized_window(self):
-        with pytest.raises(ValueError, match="at most 4096"):
-            certified_halmos_popa_check(0.5, window=4097)
+    @pytest.mark.parametrize("entry", [
+        construct_halmos_checks,
+        lambda eps, window: sweep_checks([eps], window),
+    ], ids=["construct_halmos_checks", "sweep_checks"])
+    def test_rejects_oversized_window(self, entry):
+        with pytest.raises(ValueError, match="at most"):
+            entry(0.5, 4097)
 
 
 class TestCommandEntries:
@@ -341,8 +358,8 @@ class TestCommandEntries:
         # The benchmark refuses a construct-halmos report with any other claims.
         assert [vd.claim for vd in verdicts] == ["exact-commutator-identity", "nil-index-three"]
         assert all(vd.passed for vd in verdicts)
-        vd = certified_halmos_popa_check(0.2, 64)
-        assert row == {"converged": True, **vd.inputs, "margin": vd.margin}
+        rows, _, _, _ = sweep_checks([0.2], 64)
+        assert row == rows[0]
         pair = halmos_pair_scaled()
         assert list(sections) == ["A", "B", "N"]
         for section, op in zip(sections.values(), (pair.a, pair.b, pair.nilpotent)):
@@ -352,11 +369,14 @@ class TestCommandEntries:
         rows, verdicts, slopes, notes = sweep_checks([0.4, 0.1], 64)
         assert len(rows) == len(verdicts) == 2
         for eps, row, vd in zip((0.4, 0.1), rows, verdicts):
-            check = certified_halmos_popa_check(eps, 64)
-            assert row == {"converged": True, **check.inputs, "margin": check.margin}
-            assert (vd.claim, vd.passed, vd.margin) == (f"certified-popa-eps-{eps!r}", True,
-                                                      check.margin)
-            assert vd.inputs == {"eps": eps, "window": 64}
+            _, alone, _ = construct_halmos_checks(eps, 64)
+            assert row == alone
+            assert list(row) == ["eps", "window", "converged", "norm_a_lower", "norm_b_lower",
+                                 "norm_n_lower", "norm_n_upper", "bound", "margin"]
+            popa = popa_bound(row["norm_a_lower"], row["norm_b_lower"], row["norm_n_upper"])
+            assert vd == dataclasses.replace(popa, claim=f"certified-popa-eps-{eps!r}",
+                                             inputs={"eps": eps, "window": 64})
+            assert vd.passed and vd.margin == row["margin"]
         assert set(slopes) == {"norm_a", "norm_b", "norm_n"}
         assert notes == []
 
@@ -400,8 +420,9 @@ class TestCommandEntries:
         (sweep_checks, [0.1, 0.2], 64.0),
         (sweep_checks, [0.1, 0.2], "64"),
         (construct_halmos_checks, 0.1, 64.5),
-        (certified_halmos_popa_check, 0.1, 100.5),
-        (certified_halmos_popa_check, 0.1, None),
+        (construct_halmos_checks, 0.1, 100.5),
+        (construct_halmos_checks, 0.1, None),
+        (sweep_checks, [0.1, 0.2], None),
     ])
     def test_window_that_is_not_an_integer_is_refused(self, monkeypatch, entry, eps, window):
         def listed(*args):
@@ -417,8 +438,7 @@ class TestCommandEntries:
         lambda eps: compress(halmos_pair_scaled().a, 64, eps),
         lambda eps: sweep_checks([0.1, eps], 64),
         lambda eps: construct_halmos_checks(eps, 64),
-        lambda eps: certified_halmos_popa_check(eps, 64),
-    ], ids=["compress", "sweep_checks", "construct_halmos_checks", "certified_halmos_popa_check"])
+    ], ids=["compress", "sweep_checks", "construct_halmos_checks"])
     def test_eps_that_is_not_a_real_number_is_refused(self, monkeypatch, entry, eps):
         def listed(*args):
             raise AssertionError("a section was listed")
