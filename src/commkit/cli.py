@@ -20,7 +20,8 @@ from typing import Any
 
 from . import __version__
 from .constructions import nilpotent_commutator_factors, trace_zero_commutator_factors
-from .matrices import UnconvergedError, _check_tol, read_matrix, write_json
+from .matrices import UnconvergedError, read_matrix, write_json
+from .scalars import _real
 from .verdict import Verdict
 from .verifiers import (
     construct_halmos_checks,
@@ -94,7 +95,7 @@ def _cmd_construct_halmos(args) -> RunReport:
 
 
 def _cmd_factor(args) -> RunReport:
-    _check_tol(args.tol)
+    _real("tol", args.tol, 0)
     c = read_matrix(args.input)
     if args.kind == "nilpotent":
         pair, eps = nilpotent_commutator_factors(c, args.eps), args.eps
@@ -116,7 +117,7 @@ def _cmd_wielandt(args) -> RunReport:
 
 def _read_abx(args) -> tuple:
     """Check --tol, then read --input-a, --input-b and --input-x."""
-    _check_tol(args.tol)
+    _real("tol", args.tol, 0)
     return tuple(read_matrix(path) for path in (args.input_a, args.input_b, args.input_x))
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .lazyops import (
     LazyOp,
-    _check_eps,
     block4,
     even_isometry,
     identity_op,
@@ -22,7 +21,7 @@ from .lazyops import (
     zero_op,
 )
 from .matrices import DynamicRangeError, _square_inputs
-from .scalars import EpsScalar
+from .scalars import EpsScalar, _real
 
 __all__ = [
     "FactorPair",
@@ -108,7 +107,7 @@ def halmos_nilpotent_majorant(eps: float) -> np.ndarray:
     """4x4 matrix of the exact block norms |coefficient| * eps**(j - i) of the
     scaled nilpotent part; its spectral norm is a certified upper bound for
     the operator's norm."""
-    _check_eps(eps)
+    eps = _real("eps", eps, 0, 1, low_open=True)
     out = np.zeros((4, 4))
     for (i, j), (coeff, _) in _BLOCKS["nilpotent"].items():
         out[i - 1, j - 1] = abs(coeff) * eps ** (j - i)
@@ -190,8 +189,7 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     so any nonnegative nilpotent matrix is accepted without permuting it.
     """
     c = _nonnegative_square(c)
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    eps = _real("eps", eps, 0, low_open=True)
     n = c.shape[0]
     order = _support_order(c > 0.0)
     ratio = (1.0 + eps) / eps

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalars import EpsScalar
+from .scalars import EpsScalar, _integer, _real
 
 __all__ = [
     "Column",
@@ -391,17 +391,6 @@ def _section_entries(
             np.repeat(values.reshape(len(grid), len(coefficients)), counts, axis=1))
 
 
-def _check_eps(eps: float) -> None:
-    """The one rule of a numeric eps: an int or float, not a bool, with 0 < eps <= 1.
-
-    The scaled family is defined for 0 < eps <= 1; a numpy float is a float.
-    """
-    if type(eps) is bool or not isinstance(eps, (int, float)):
-        raise ValueError(f"eps must be a real number, got {eps!r}")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-
-
 def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     """The leading m x m corner of the operator, evaluated at eps in (0, 1].
 
@@ -414,9 +403,8 @@ def compress(op: LazyOp, m: int, eps: float) -> np.ndarray:
     caller that needs only the nonzero entries, such as a norm certificate,
     takes that list instead, for every eps of its grid at once.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("window size must be a positive integer")
-    _check_eps(eps)
+    m = _integer("m", m, 1)
+    eps = _real("eps", eps, 0, 1, low_open=True)  # the scaled family is defined on (0, 1]
     if not isinstance(op, LazyOp):
         raise TypeError("op must be a LazyOp")
     rows, cols, values = _section_entries(op, m, [eps])

@@ -8,7 +8,6 @@ by the operator engine.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .scalars import _real
 from .verdict import Verdict
 
 __all__ = [
@@ -95,12 +95,6 @@ def max_abs(a) -> float:
     return max(abs(float(a.max())), abs(float(a.min())))
 
 
-def _check_tol(tol: float) -> None:
-    """The one rule of a comparison tolerance: finite and nonnegative."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
 def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     """Check a <= b entrywise, allowing entries of b - a down to -tol.
 
@@ -110,8 +104,7 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
     """
     a, b = _read_only(a), _read_only(b)
     _require_same_shape(a, b)
-    _check_tol(tol)
-    return _least_entry(b - a, tol)
+    return _least_entry(b - a, _real("tol", tol, 0))
 
 
 def _least_entry(diff: np.ndarray, tol: float) -> Verdict:
@@ -294,12 +287,11 @@ def _bracket(jobs: list[tuple]) -> list[list[NormCertificate | UnconvergedError]
     job go to _dense_certificate as one.  Each matrix's bracket is the
     largest lower and the largest upper bound over its nonzero blocks, each
     tagged by the first block, in stack order, that attains it; a matrix
-    with no nonzero block is the zero matrix, norm exactly 0.  The one
-    check of rel_tol, NaN refused: a matrix whose bracket is wider gets its
+    with no nonzero block is the zero matrix, norm exactly 0.  Each rel_tol
+    is checked first; a matrix whose bracket is wider gets its
     UnconvergedError in place of a certificate.
     """
-    if not all(rel_tol > 0.0 for *_, rel_tol in jobs):
-        raise ValueError("rel_tol must be positive")
+    jobs = [(*job, _real("rel_tol", rel_tol, 0, low_open=True)) for *job, rel_tol in jobs]
     stacks = [stack for _, _, job_stacks, _ in jobs for stack in job_stacks]
     tables = [np.empty(0)] * len(stacks)  # per stack: lower, upper, by_column, by_cap
     for shape in sorted({blocks.shape[1:] for blocks, _ in stacks}):

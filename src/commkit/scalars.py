@@ -5,12 +5,17 @@ the scale parameter eps over the integers.  Sums and products are exact;
 evaluating at a numeric eps is the only lossy step.  Only the constructor
 drops zero coefficients and range-checks the rest, so sums and products
 check the coefficients of their result, never a partial sum.
+
+The package's numeric arguments are checked here too, by _real and
+_integer: one rule per parameter meaning, stated as an interval.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Mapping
+
+import numpy as np
 
 __all__ = ["CoefficientOverflow", "EpsScalar"]
 
@@ -21,6 +26,39 @@ _COEFF_LIMIT = 2**63 - 1
 
 class CoefficientOverflow(OverflowError):
     """A coefficient left the signed 64-bit range."""
+
+
+def _interval(low, high, low_open: bool) -> str:
+    return f"{'(' if low_open else '['}{low}, {high}{')' if high == math.inf else ']'}"
+
+
+def _real(name: str, value, low, high=math.inf, *, low_open: bool = False) -> float:
+    """value as a float: an int or float, numpy's included, not a bool, finite, in the interval.
+
+    The interval runs from low, open when low_open, to high, closed unless it
+    is inf.  Anything else raises ValueError naming the parameter and value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the double range
+        x = math.inf
+    if not (math.isfinite(x) and (low < x if low_open else low <= x) and x <= high):
+        raise ValueError(f"{name} must lie in {_interval(low, high, low_open)}, got {value}")
+    return x
+
+
+def _integer(name: str, value, low: int, high=math.inf) -> int:
+    """value as an int: an int, numpy's included, not a bool, with low <= value <= high.
+
+    Anything else raises ValueError naming the parameter and value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in {_interval(low, high, False)}, got {value}")
+    return int(value)
 
 
 class EpsScalar:
@@ -97,12 +135,11 @@ class EpsScalar:
     __rmul__ = __mul__
 
     def evaluate(self, eps: float) -> float:
-        """Evaluate at a numeric eps > 0 (the only lossy operation); OverflowError
+        """Evaluate at a finite eps > 0 (the only lossy operation); OverflowError
         names the scalar and eps when a term or the sum leaves the double range."""
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
+        eps = _real("eps", eps, 0, low_open=True)
         try:
-            value = float(sum(c * float(eps) ** p for p, c in self._terms.items()))
+            value = float(sum(c * eps ** p for p, c in self._terms.items()))
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):

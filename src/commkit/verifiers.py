@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from .constructions import FactorPair, HalmosPair, halmos_nilpotent_majorant, halmos_pair_scaled
-from .lazyops import LazyOp, _check_eps, _residue_columns, _section_entries, compress
+from .lazyops import LazyOp, _residue_columns, _section_entries, compress
 from .matrices import (
     DynamicRangeError,
     UnconvergedError,
-    _check_tol,
     _entries_norm,
     _gamma,
     _least_entry,
@@ -29,6 +28,7 @@ from .matrices import (
     entrywise_leq,
     max_abs,
 )
+from .scalars import _integer, _real
 from .verdict import Verdict
 
 __all__ = [
@@ -49,23 +49,18 @@ __all__ = [
 
 
 def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> Verdict:
-    """Check norm_a * norm_b >= (1 / 2*alpha) * ln(1 / (alpha * eps)).
+    """Check norm_a * norm_b >= 1 / (2 alpha) * ln(1 / (alpha * eps)).
 
     This is the necessary condition for solvability of [a,b] >= e + x with
     |x| <= eps, a or b positive, in an algebra whose cone has normality
     constant alpha.  A FAIL certifies that no such x exists for the given
-    pair: the perturbation eps is too small for these norms.  Raises
-    DynamicRangeError when norm_a * norm_b overflows.
+    pair: the perturbation eps is too small for these norms.  The norms are
+    finite and nonnegative, eps finite and positive, and alpha finite and at
+    least 1.  Raises DynamicRangeError when norm_a * norm_b overflows.
     """
-    for name, value in (("norm_a", norm_a), ("norm_b", norm_b), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if norm_a < 0.0 or norm_b < 0.0:
-        raise ValueError("norms must be nonnegative")
-    if alpha < 1.0:
-        raise ValueError("normality constants are at least 1")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError("eps must be positive and finite")
+    norm_a, norm_b = _real("norm_a", norm_a, 0), _real("norm_b", norm_b, 0)
+    alpha = _real("alpha", alpha, 1)
+    eps = _real("eps", eps, 0, low_open=True)
     product = norm_a * norm_b
     if math.isinf(product):
         raise DynamicRangeError(f"norm_a * norm_b = {norm_a} * {norm_b} overflows double precision")
@@ -127,10 +122,9 @@ def power_inequality_report(
     [1, MAX_POWER].
     """
     a, b, x = _square_inputs(a, b, x)
-    if not 1 <= n_max <= MAX_POWER:
-        raise ValueError(f"n_max must lie in [1, {MAX_POWER}], got {n_max}")
-    if interior is not None and not (1 <= interior <= a.shape[0]):
-        raise ValueError("interior window must lie within the matrix")
+    n_max = _integer("n_max", n_max, 1, MAX_POWER)
+    if interior is not None:
+        interior = _integer("interior", interior, 1, a.shape[0])
     size = a.shape[0]
     eye = np.identity(size)
 
@@ -219,6 +213,7 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     its difference from I - X, the trace or X X - X overflow.
     """
     a, b, x = _square_inputs(a, b, x)
+    tol = _real("tol", tol, 0)
     n = a.shape[0]
     eye = np.identity(n)
 
@@ -278,10 +273,12 @@ def factorization_checks(
     by the rounding of that diagonal solve.  C is not copied.  AB and BA
     are formed from A's diagonal d, as d_i b_ij and b_ij d_j: the entries the
     dense products give, with no n**3 work.  Raises ValueError for a tol
-    that is not finite and nonnegative, unequal shapes, or an A with a
-    nonzero entry off its diagonal.
+    that is not finite and nonnegative, an eps that is not finite and
+    positive, unequal shapes, or an A with a nonzero entry off its diagonal.
     """
-    _check_tol(tol)
+    tol = _real("tol", tol, 0)
+    if eps is not None:
+        eps = _real("eps", eps, 0, low_open=True)
     c = np.asarray(c, dtype=float)
     if not c.shape == pair.a.shape == pair.b.shape:
         raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
@@ -325,7 +322,6 @@ def factorization_checks(
         # entrywise_leq(BA, eps C, ba_tol), with its difference eps C - BA written over eps C.
         ba = _read_only(b * d)
         diff = _read_only(eps * c)
-        _check_tol(ba_tol)
         diff -= ba
         verdicts.append(dataclasses.replace(_least_entry(diff, ba_tol), claim="ba-below-eps-c"))
     return verdicts
@@ -431,16 +427,6 @@ MAX_PAYLOAD_WINDOW = 1024
 SECTION_REL_TOL = 1e-6
 
 
-def _check_window(window: int) -> None:
-    """The one window rule of the scaled pair's sections: an int, 16 <= window <= MAX_WINDOW."""
-    if not isinstance(window, int):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    if window < 16:
-        raise ValueError("window must be at least 16")
-    if window > MAX_WINDOW:
-        raise ValueError(f"window must be at most {MAX_WINDOW}, got {window}")
-
-
 def _norm_rows(grid: list[float], window: int) -> list[tuple[dict, Verdict | None]]:
     """The certified norm row at each eps of grid, and its popa_bound verdict.
 
@@ -499,10 +485,8 @@ def construct_halmos_checks(eps: float, window: int) -> tuple[list[Verdict], dic
     any section is listed, for eps outside (0, 1] or a window that is
     not an integer in [16, MAX_PAYLOAD_WINDOW].
     """
-    _check_eps(eps)
-    _check_window(window)
-    if window > MAX_PAYLOAD_WINDOW:
-        raise ValueError(f"window must be at most {MAX_PAYLOAD_WINDOW}, got {window}")
+    eps = _real("eps", eps, 0, 1, low_open=True)
+    window = _integer("window", window, 16, MAX_PAYLOAD_WINDOW)
     ((row, _),) = _norm_rows([eps], window)
     pair = halmos_pair_scaled()
     sections = {key: compress(op, window, eps)
@@ -523,11 +507,11 @@ def sweep_checks(grid: list[float], window: int) -> tuple[list, list[Verdict], d
     """
     if not grid:
         raise ValueError("grid is empty")
+    grid = [_real("eps", eps, 0, 1, low_open=True) for eps in grid]
     for k, eps in enumerate(grid):
-        _check_eps(eps)
         if eps in grid[:k]:
             raise ValueError(f"grid value {eps} is repeated")
-    _check_window(window)
+    window = _integer("window", window, 16, MAX_WINDOW)
     rows, verdicts, notes = [], [], []
     for eps, (row, vd) in zip(grid, _norm_rows(grid, window)):
         rows.append(row)

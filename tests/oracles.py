@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +83,17 @@ def strict_json_loads(text: str):
         raise ValueError(f"{name} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def values_digest(path) -> str:
+    """sha256 over the matrices of a written file, in file order: each key, shape and
+    entries as int64, from strict json.loads of the text.  It pins values, not bytes."""
+    digest = hashlib.sha256()
+    for key, value in strict_json_loads(Path(path).read_text(encoding="utf-8")).items():
+        if isinstance(value, dict):
+            digest.update(f"{key}:{value['rows']}x{value['cols']}:".encode())
+            digest.update(np.array(value["data"], dtype="<f8").view("<i8").tobytes())
+    return digest.hexdigest()
 
 
 def float_bits(value):

@@ -1,6 +1,5 @@
 """CLI behavior: commands, exit codes, report schema, file round-trips."""
 
-import hashlib
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from commkit.constructions import (
 from commkit.lazyops import compress
 from commkit.matrices import matrix_from_json_dict, read_matrix, write_json
 from commkit.verifiers import factorization_checks
-from oracles import float_bits, matrix_to_json_dict, strict_json_loads
+from oracles import float_bits, matrix_to_json_dict, strict_json_loads, values_digest
 
 
 def run(*argv):
@@ -91,13 +90,13 @@ class TestConstructHalmos:
         out = tmp_path / "x.json"
         code = run("construct-halmos", "--eps", 0.5, "--window", 1_000_000, "--out", out)
         assert code == 2
-        assert "window must be at most 4096" in capsys.readouterr().err
+        assert "window must lie in [16, 1024], got 1000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_payload_window_is_capped_at_1024(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run("construct-halmos", "--eps", 0.5, "--window", 2048, "--out", out) == 2
-        assert "window must be at most 1024" in capsys.readouterr().err
+        assert "window must lie in [16, 1024], got 2048" in capsys.readouterr().err
         assert not out.exists()
 
     def test_payload_cap_is_checked_before_any_section_is_listed(self, tmp_path, capsys,
@@ -108,7 +107,7 @@ class TestConstructHalmos:
         monkeypatch.setattr(verifiers, "_section_entries", listed)
         out = tmp_path / "x.json"
         assert run("construct-halmos", "--eps", 0.5, "--window", 2048, "--out", out) == 2
-        assert "window must be at most 1024" in capsys.readouterr().err
+        assert "window must lie in [16, 1024], got 2048" in capsys.readouterr().err
         assert not out.exists()
 
     def test_window_floor_is_16(self, tmp_path, capsys):
@@ -117,7 +116,7 @@ class TestConstructHalmos:
         assert run("construct-halmos", "--eps", 0.5, "--window", 16, "--out", out) == 0
         assert json.loads(out.read_text())["window"] == 16
         assert run("construct-halmos", "--eps", 0.5, "--window", 15, "--out", tmp_path / "y.json") == 2
-        assert "window must be at least 16" in capsys.readouterr().err
+        assert "window must lie in [16, 1024], got 15" in capsys.readouterr().err
 
     def test_unwritable_path_is_input_error(self, tmp_path):
         code = run("construct-halmos", "--eps", 1, "--window", 16, "--out", tmp_path / "no" / "x.json")
@@ -269,17 +268,6 @@ class TestFactor:
             assert np.array_equal(read_matrix(back), m)
 
 
-def _values_digest(path) -> str:
-    """sha256 over the matrices of a written file, in file order: each key, shape and
-    entries as int64, from strict json.loads of the text.  It pins values, not bytes."""
-    digest = hashlib.sha256()
-    for key, value in strict_json_loads(Path(path).read_text(encoding="utf-8")).items():
-        if isinstance(value, dict):
-            digest.update(f"{key}:{value['rows']}x{value['cols']}:".encode())
-            digest.update(np.array(value["data"], dtype="<f8").view("<i8").tobytes())
-    return digest.hexdigest()
-
-
 class TestWrittenValues:
     # factor nilpotent is left out: its diagonal comes from np.power, whose last
     # bits may depend on the numpy build.
@@ -299,7 +287,7 @@ class TestWrittenValues:
         np.fill_diagonal(c, 0.0)
         write_json("c.json", c)
         assert run(*argv, "--out", "out.json") == 0
-        assert _values_digest("out.json") == digest
+        assert values_digest("out.json") == digest
 
 
 class TestVerify:
@@ -322,7 +310,7 @@ class TestVerify:
 
     def test_popa_negative_norm_is_input_error(self, capsys):
         assert run("verify", "popa", "--norm-a", -1, "--norm-b", 1, "--eps", 0.5) == 2
-        assert "error: norms must be nonnegative" in capsys.readouterr().err
+        assert "error: norm_a must lie in [0, inf), got -1.0" in capsys.readouterr().err
 
     def test_popa_needs_flags(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -405,7 +393,7 @@ class TestVerify:
         if argv[0] == "factor":
             files = ["--input", m, "--out", tmp_path / "o.json"]
         assert run(*argv, *files) == 2
-        assert "error: tol must be finite and nonnegative" in capsys.readouterr().err
+        assert "error: tol must lie in [0, inf), got " in capsys.readouterr().err
 
 
 class TestSweep:
@@ -490,7 +478,7 @@ class TestSweep:
 
     def test_rejects_small_window(self, tmp_path, capsys):
         assert run("sweep", "--grid", "0.5", "--window", 15, "--out", tmp_path / "s.json") == 2
-        assert "window must be at least 16" in capsys.readouterr().err
+        assert "window must lie in [16, 4096], got 15" in capsys.readouterr().err
 
     @staticmethod
     def _unconverged_at(monkeypatch, failing):
@@ -555,7 +543,7 @@ class TestSweep:
     def test_rejects_oversized_window(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert run("sweep", "--grid", "0.5", "--window", 1_000_000, "--out", out) == 2
-        assert "window must be at most 4096" in capsys.readouterr().err
+        assert "window must lie in [16, 4096], got 1000000" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -69,9 +69,9 @@ class TestPopaBound:
             popa_bound(1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("norm, message", [
-        (math.nan, "norm_a must be finite"),
-        (math.inf, "norm_a must be finite"),
-        (-1.0, "norms must be nonnegative"),
+        (math.nan, r"norm_a must lie in \[0, inf\), got nan"),
+        (math.inf, r"norm_a must lie in \[0, inf\), got inf"),
+        (-1.0, r"norm_a must lie in \[0, inf\), got -1.0"),
     ])
     def test_rejects_bad_norm(self, norm, message):
         with pytest.raises(ValueError, match=message):
@@ -337,7 +337,7 @@ class TestCertifiedCheck:
     @pytest.mark.parametrize("eps, window, message", [
         (0.0, 512, r"eps must lie in \(0, 1\]"),
         (1.5, 512, r"eps must lie in \(0, 1\]"),
-        (0.5, 8, "window must be at least 16"),
+        (0.5, 8, r"window must lie in \[16, \d+\], got 8"),
     ], ids=["eps-0", "eps-1.5", "window-8"])
     def test_validates_inputs(self, entry, eps, window, message):
         with pytest.raises(ValueError, match=message):
@@ -348,7 +348,7 @@ class TestCertifiedCheck:
         lambda eps, window: sweep_checks([eps], window),
     ], ids=["construct_halmos_checks", "sweep_checks"])
     def test_rejects_oversized_window(self, entry):
-        with pytest.raises(ValueError, match="at most"):
+        with pytest.raises(ValueError, match=r"window must lie in \[16, \d+\], got 4097"):
             entry(0.5, 4097)
 
 
@@ -397,14 +397,14 @@ class TestCommandEntries:
     @pytest.mark.parametrize("entry, eps, window, message", [
         (construct_halmos_checks, 0.0, 16, r"eps must lie in \(0, 1\], got 0.0"),
         (construct_halmos_checks, math.nan, 2048, r"eps must lie in \(0, 1\], got nan"),
-        (construct_halmos_checks, 0.5, 15, "window must be at least 16"),
-        (construct_halmos_checks, 0.5, 1025, "window must be at most 1024, got 1025"),
-        (construct_halmos_checks, 0.5, 4097, "window must be at most 4096, got 4097"),
+        (construct_halmos_checks, 0.5, 15, r"window must lie in \[16, 1024\], got 15"),
+        (construct_halmos_checks, 0.5, 1025, r"window must lie in \[16, 1024\], got 1025"),
+        (construct_halmos_checks, 0.5, 4097, r"window must lie in \[16, 1024\], got 4097"),
         (sweep_checks, [], 64, "grid is empty"),
         (sweep_checks, [0.5, 2.0], 32, r"eps must lie in \(0, 1\], got 2.0"),
         (sweep_checks, [0.5, 0.2, 0.5], 64, "grid value 0.5 is repeated"),
-        (sweep_checks, [0.5], 15, "window must be at least 16"),
-        (sweep_checks, [0.5], 4097, "window must be at most 4096, got 4097"),
+        (sweep_checks, [0.5], 15, r"window must lie in \[16, 4096\], got 15"),
+        (sweep_checks, [0.5], 4097, r"window must lie in \[16, 4096\], got 4097"),
     ])
     def test_arguments_are_checked_before_any_section_is_listed(
         self, monkeypatch, entry, eps, window, message
@@ -433,7 +433,7 @@ class TestCommandEntries:
         with pytest.raises(ValueError, match=message):
             entry(eps, window)
 
-    @pytest.mark.parametrize("eps", [True, False, "0.1", None, Fraction(1, 10), np.float32(0.5)])
+    @pytest.mark.parametrize("eps", [True, False, "0.1", None, Fraction(1, 10)])
     @pytest.mark.parametrize("entry", [
         lambda eps: compress(halmos_pair_scaled().a, 64, eps),
         lambda eps: sweep_checks([0.1, eps], 64),
@@ -452,6 +452,7 @@ class TestCommandEntries:
     def test_numpy_float_and_int_eps_are_accepted(self):
         a = halmos_pair_scaled().a
         assert np.array_equal(compress(a, 16, np.float64(0.5)), compress(a, 16, 0.5))
+        assert np.array_equal(compress(a, 16, np.float32(0.5)), compress(a, 16, 0.5))
         assert np.array_equal(compress(a, 16, 1), compress(a, 16, 1.0))
 
 
@@ -675,8 +676,15 @@ class TestFactorizationChecks:
     def test_rejects_bad_tol(self, tol):
         # The trace-zero checks call no entrywise_leq, which would also reject it.
         pair = trace_zero_commutator_factors(self.nilpotent_c)
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in [0, inf), got {tol}")):
             factorization_checks(self.nilpotent_c, pair, tol=tol)
+
+    @pytest.mark.parametrize("eps", [-0.75, -1.0])
+    def test_rejects_bad_eps(self, eps):
+        # Unchecked, -0.75 made a negative internal BA tolerance, and -1 returned verdicts.
+        pair = nilpotent_commutator_factors(self.nilpotent_c, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"eps must lie in (0, inf), got {eps}")):
+            factorization_checks(self.nilpotent_c, pair, eps=eps)
 
     def test_rejects_shapes_that_differ(self):
         pair = trace_zero_commutator_factors(np.zeros((2, 2)))
@@ -688,13 +696,13 @@ class TestToleranceValidation:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_obstructions_reject_bad_tol(self, tol):
         eye = np.identity(2)
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in [0, inf), got {tol}")):
             finite_dim_obstructions(eye, eye, eye, tol=tol)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_power_report_rejects_bad_tol(self, tol):
         eye = np.identity(2)
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in [0, inf), got {tol}")):
             power_inequality_report(eye, eye, eye, n_max=2, tol=tol)
 
 
