@@ -20,7 +20,7 @@ from .lazyops import (
     pair_swap,
     zero_op,
 )
-from .matrices import DynamicRangeError, _square_inputs
+from .matrices import DynamicRangeError, _in_range, _square_inputs
 from .scalars import EpsScalar, _real
 
 __all__ = [
@@ -170,12 +170,7 @@ def _diagonal_factors(c: np.ndarray, d: np.ndarray) -> FactorPair:
         # max |b| along a row or column is the larger of its max and -min: no array of |b|.
         row_max = np.maximum(b.max(axis=1), -b.min(axis=1))
         col_max = np.maximum(b.max(axis=0), -b.min(axis=0))
-        largest = np.concatenate([scale * row_max, col_max * scale])
-    if not np.isfinite(largest).all():
-        raise DynamicRangeError(
-            f"entries up to {float(c.max())} with diagonal up to {float(np.abs(d).max())} "
-            f"at n={c.shape[0]} overflow B, AB or BA in double precision"
-        )
+        _in_range(np.concatenate([scale * row_max, col_max * scale]), "B, AB or BA")
     return FactorPair(a=np.diag(d), b=b)
 
 
@@ -209,8 +204,7 @@ def nilpotent_commutator_factors(c, eps: float) -> FactorPair:
     pair = _diagonal_factors(c, d)
     # The bound BA <= eps * C needs eps * C in range as well: with a large eps,
     # eps * c_ij can exceed the entries of AB by a factor of up to n - 1.
-    if math.isinf(eps * float(c.max())):
-        raise DynamicRangeError(f"eps * C overflows double precision for eps={eps}")
+    _in_range(eps * float(c.max()), "eps * C")
     return pair
 
 

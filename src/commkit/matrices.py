@@ -45,7 +45,19 @@ class UnconvergedError(RuntimeError):
 
 
 class DynamicRangeError(ValueError):
-    """Requested parameters would overflow double precision."""
+    """A result computed from finite values left the double range."""
+
+
+def _in_range(value, what: str):
+    """value, if every entry is finite: the one range check of a computed result.
+
+    Compute value with overflow and invalid operations ignored
+    (np.errstate), so that a result past the double range is reported once,
+    as a DynamicRangeError naming what, and not as a RuntimeWarning.
+    """
+    if not np.isfinite(value).all():
+        raise DynamicRangeError(f"{what} overflows double precision")
+    return value
 
 
 def _read_only(values) -> np.ndarray:
@@ -83,9 +95,10 @@ def _square_inputs(*values) -> tuple[np.ndarray, ...]:
 
 
 def commutator(a, b) -> np.ndarray:
-    """AB - BA for square matrices of equal size."""
+    """AB - BA for square matrices of equal size; DynamicRangeError if it overflows."""
     a, b = _square_inputs(a, b)
-    return a @ b - b @ a
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_range(a @ b - b @ a, "the commutator AB - BA")
 
 
 def max_abs(a) -> float:
@@ -100,28 +113,34 @@ def entrywise_leq(a, b, tol: float = 0.0) -> Verdict:
 
     On failure the witness carries the 1-based coordinates of the most
     negative entry of b - a and its value.  The margin is the minimum entry
-    of b - a (so >= -tol means pass).
+    of b - a (so >= -tol means pass); DynamicRangeError if it overflows.
     """
     a, b = _read_only(a), _read_only(b)
     _require_same_shape(a, b)
-    return _least_entry(b - a, _real("tol", tol, 0))
+    tol = _real("tol", tol, 0)
+    with np.errstate(over="ignore"):
+        return _least_entry(b - a, tol, "entrywise-leq", "b - a")
 
 
-def _least_entry(diff: np.ndarray, tol: float) -> Verdict:
-    """The verdict of entrywise_leq(a, b, tol) from diff = b - a, with a valid tol."""
+def _least_entry(diff: np.ndarray, tol: float, claim: str, what: str, **inputs) -> Verdict:
+    """The verdict, claimed as claim, that diff >= -tol entrywise, for a valid tol.
+
+    It is entrywise_leq's verdict for diff = b - a, with inputs added to its
+    own.  The margin, the least entry of diff, must be in range: what names diff.
+    """
     flat_idx = int(diff.argmin())
     i, j = np.unravel_index(flat_idx, diff.shape)
-    worst = float(diff[i, j])
+    worst = _in_range(float(diff[i, j]), what)
     passed = worst >= -tol
     witness = None
     if not passed:
         witness = {"row": int(i) + 1, "col": int(j) + 1, "value": worst}
     return Verdict(
         passed=passed,
-        claim="entrywise-leq",
+        claim=claim,
         witness=witness,
         margin=worst,
-        inputs={"shape": list(diff.shape), "tol": tol},
+        inputs={"shape": list(diff.shape), "tol": tol, **inputs},
     )
 
 
@@ -390,8 +409,7 @@ def _dense_certificate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     lower, upper = np.where(by_column, column, eigenvector), np.where(by_cap, cap, weyl)
     with np.errstate(over="ignore"):
         lo, hi = np.ldexp(lower, exponent), np.ldexp(upper, exponent)
-    if np.isinf(hi).any():  # lower <= upper, so lo overflows only with hi
-        raise DynamicRangeError("operator norm exceeds the double range")
+    _in_range(hi, "the operator norm")  # lower <= upper, so lo overflows only with hi
     # ldexp rounds to nearest only where its result is subnormal; undoing it is exact.
     lo = np.where(np.ldexp(lo, -exponent) <= lower, lo, np.nextafter(lo, 0.0))
     hi = np.where(np.ldexp(hi, -exponent) >= upper, hi, np.nextafter(hi, np.inf))

@@ -20,12 +20,11 @@ from .matrices import (
     UnconvergedError,
     _entries_norm,
     _gamma,
+    _in_range,
     _least_entry,
     _listed,
     _read_only,
     _square_inputs,
-    commutator,
-    entrywise_leq,
     max_abs,
 )
 from .scalars import _integer, _real
@@ -61,9 +60,7 @@ def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> 
     norm_a, norm_b = _real("norm_a", norm_a, 0), _real("norm_b", norm_b, 0)
     alpha = _real("alpha", alpha, 1)
     eps = _real("eps", eps, 0, low_open=True)
-    product = norm_a * norm_b
-    if math.isinf(product):
-        raise DynamicRangeError(f"norm_a * norm_b = {norm_a} * {norm_b} overflows double precision")
+    product = _in_range(norm_a * norm_b, f"norm_a * norm_b = {norm_a} * {norm_b}")
     # From the logarithms: 1 / (alpha * eps) overflows for a subnormal eps.  Dividing by
     # alpha, then by 2, gives the bits of dividing by 2 alpha, which overflows past 8.98e307.
     bound = -(math.log(alpha) + math.log(eps)) / alpha / 2.0
@@ -79,15 +76,9 @@ def popa_bound(norm_a: float, norm_b: float, eps: float, alpha: float = 1.0) -> 
     )
 
 
-def _window(a: np.ndarray, interior: int | None) -> np.ndarray:
-    return a if interior is None else a[:interior, :interior]
-
-
-def _in_range(value, what: str):
-    """``value`` if every entry is finite: for results computed with overflow ignored."""
-    if not np.isfinite(value).all():
-        raise DynamicRangeError(f"{what} overflows double precision")
-    return value
+def _largest(r: np.ndarray, what: str) -> float:
+    """The largest |entry| of the array r, formed here and overwritten; it must be in range."""
+    return _in_range(float(np.abs(r, out=r).max()), what)  # max keeps an inf or a nan
 
 
 # Largest n_max power_inequality_report takes.  The report holds one verdict
@@ -125,19 +116,17 @@ def power_inequality_report(
     n_max = _integer("n_max", n_max, 1, MAX_POWER)
     if interior is not None:
         interior = _integer("interior", interior, 1, a.shape[0])
-    size = a.shape[0]
-    eye = np.identity(size)
+    tol = _real("tol", tol, 0)
+    k = interior  # x[:None, :None] is all of x
+    eye = np.identity(a.shape[0])
 
-    verdicts = []
-    pre_a = entrywise_leq(_window(np.zeros_like(a), interior), _window(a, interior), tol)
-    verdicts.append(dataclasses.replace(pre_a, claim="precondition-a-nonnegative"))
+    verdicts = [_least_entry(a[:k, :k], tol, "precondition-a-nonnegative", "A")]
     # Every product, sum and difference is formed with overflow ignored and checked after.
     with np.errstate(over="ignore", invalid="ignore"):
-        comm = _in_range(commutator(a, b), "the commutator AB - BA")
-        pre_h = entrywise_leq(_window(eye + x, interior), _window(comm, interior), tol)
+        comm = _in_range(a @ b - b @ a, "the commutator AB - BA")
+        verdicts.append(_least_entry(comm[:k, :k] - (eye + x)[:k, :k], tol,
+                                     "precondition-commutator-dominates", "[A,B] - (I + X)"))
         del comm  # one n x n array less under the loop's products
-        _in_range(pre_h.margin, "[A,B] - (I + X)")
-        verdicts.append(dataclasses.replace(pre_h, claim="precondition-commutator-dominates"))
 
         # One power and one running sum: R_1 = x and R_(n+1) = a R_n + x a^n
         # give R_n = sum_j a^(n-1-j) x a^j.
@@ -148,15 +137,9 @@ def power_inequality_report(
                 tail = _in_range(a @ tail + x @ power, f"the sum R_{n}")
             rhs = _in_range(float(n) * power + tail, f"{n} A^{n - 1} + R_{n}")
             power = _in_range(power @ a, f"the power A^{n}")
-            lhs = _in_range(commutator(power, b), f"the commutator [A^{n}, B]")
-            vd = entrywise_leq(_window(rhs, interior), _window(lhs, interior), tol)
-            _in_range(vd.margin, f"[A^{n}, B] - {n} A^{n - 1} - R_{n}")
-            vd = dataclasses.replace(
-                vd,
-                claim=f"power-inequality-n{n}",
-                inputs={**vd.inputs, "n": n},
-            )
-            verdicts.append(vd)
+            lhs = _in_range(power @ b - b @ power, f"the commutator [A^{n}, B]")
+            verdicts.append(_least_entry(lhs[:k, :k] - rhs[:k, :k], tol, f"power-inequality-n{n}",
+                                         f"[A^{n}, B] - {n} A^{n - 1} - R_{n}", n=n))
     return verdicts
 
 
@@ -178,7 +161,7 @@ def wielandt_violation_witness(a, b) -> Verdict:
     if not (signed(a) or signed(b)):
         raise ValueError("neither matrix is entrywise signed")
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = _in_range(commutator(a, b), "the commutator AB - BA")
+        diff = _in_range(a @ b - b @ a, "the commutator AB - BA")
     diff[np.diag_indices_from(diff)] -= 1.0  # [A,B] - I, in place
     flat = int(diff.argmin())
     i, j = np.unravel_index(flat, diff.shape)
@@ -218,16 +201,14 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
     eye = np.identity(n)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        comm = _in_range(commutator(a, b), "the commutator AB - BA")
-        hyp = entrywise_leq(eye - x, comm, tol)
-        _in_range(hyp.margin, "[A,B] - (I - X)")
+        comm = _in_range(a @ b - b @ a, "the commutator AB - BA")
+        hyp = _least_entry(comm - (eye - x), tol, "obstruction-hypothesis", "[A,B] - (I - X)")
         try:
             trace_x = math.fsum(np.diagonal(x).tolist())
         except OverflowError:
             raise DynamicRangeError("the trace of X overflows double precision") from None
-        square_defect = _in_range(x @ x - x, "X X - X")
-    trace_lower = _in_range(math.nextafter(trace_x, -math.inf), "the trace of X")
-    hyp = dataclasses.replace(hyp, claim="obstruction-hypothesis")
+        trace_lower = _in_range(math.nextafter(trace_x, -math.inf), "the trace of X")
+        idem_defect = _largest(x @ x - x, "X X - X")
     vacuous = not hyp.passed
 
     def obstruction(claim: str, holds: bool, margin: float | None, **witness) -> Verdict:
@@ -238,8 +219,7 @@ def finite_dim_obstructions(a, b, x, tol: float = 1e-9) -> list[Verdict]:
 
     trace_margin = trace_lower - n
     radius_lower = math.nextafter(math.nextafter(abs(trace_x), 0.0) / n, 0.0)
-    idem_defect = max_abs(square_defect)
-    ident_defect = max_abs(x - eye)
+    ident_defect = _largest(x - eye, "X - I")
     return [
         hyp,
         obstruction("obstruction-trace", trace_margin >= -tol, trace_margin,
@@ -274,7 +254,9 @@ def factorization_checks(
     are formed from A's diagonal d, as d_i b_ij and b_ij d_j: the entries the
     dense products give, with no n**3 work.  Raises ValueError for a tol
     that is not finite and nonnegative, an eps that is not finite and
-    positive, unequal shapes, or an A with a nonzero entry off its diagonal.
+    positive, unequal shapes, a non-finite entry, or an A with a nonzero
+    entry off its diagonal; DynamicRangeError when the residual AB - BA - C,
+    eps C or eps C - BA overflows.
     """
     tol = _real("tol", tol, 0)
     if eps is not None:
@@ -283,7 +265,7 @@ def factorization_checks(
     if not c.shape == pair.a.shape == pair.b.shape:
         raise ValueError(f"C, A and B differ in shape: {c.shape}, {pair.a.shape}, {pair.b.shape}")
     c_max = max_abs(c)
-    d, b = np.diagonal(pair.a), pair.b
+    d, b = np.diagonal(pair.a), _read_only(pair.b)
     if np.count_nonzero(pair.a) != np.count_nonzero(d):  # -0.0 counts as zero, as in A @ B
         raise ValueError("A must be diagonal: it has a nonzero entry off the diagonal")
     # Each entry of AB - BA - C is d_i b_ij - b_ij d_j - c_ij, with no sums, for
@@ -306,7 +288,10 @@ def factorization_checks(
     rounding = _scaled_tol(_gamma(4) * c_max, 1.0 + spread)
     underflow = math.ldexp(max_abs(d) + 2.0, -1074)
     residual_tol = min(residual_tol + rounding + underflow, sys.float_info.max)
-    residual = max_abs(d[:, None] * b - b * d - c)
+    # A product past the double range makes its residual entry inf or nan: AB, BA and the
+    # residual are checked at once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _largest(d[:, None] * b - b * d - c, "the residual AB - BA - C")
     passed = residual <= residual_tol
     witness = None if passed else {"residual": residual}
     verdicts = [Verdict(passed, "reconstruction-residual", witness, residual_tol - residual,
@@ -319,11 +304,13 @@ def factorization_checks(
         # gamma_8 (1 + 2 eps) eps max c: far above an absolute tol once eps C is large.
         rounding = tol + _gamma(8) * (1.0 + 2.0 * eps)
         ba_tol = _scaled_tol(rounding, 1.0 + eps * c_max)
-        # entrywise_leq(BA, eps C, ba_tol), with its difference eps C - BA written over eps C.
-        ba = _read_only(b * d)
-        diff = _read_only(eps * c)
-        diff -= ba
-        verdicts.append(dataclasses.replace(_least_entry(diff, ba_tol), claim="ba-below-eps-c"))
+        # Every |eps c_ij| <= eps max|C|, so eps C is in range when that is.  The difference
+        # eps C - BA is written over eps C.
+        _in_range(eps * c_max, "eps * C")
+        diff = eps * c
+        with np.errstate(over="ignore"):
+            diff -= b * d
+        verdicts.append(_least_entry(diff, ba_tol, "ba-below-eps-c", "eps C - BA"))
     return verdicts
 
 

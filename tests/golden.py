@@ -1,8 +1,8 @@
 """The golden identity table: what a fixed set of CLI invocations print, exit with and write.
 
 Each case runs commkit.cli.main in an empty directory that holds only the
-inputs of INPUTS, under their fixed relative names, so every path a report
-echoes is the same on every machine.  The table records, per case:
+inputs of INPUTS that its argv names, under their fixed relative names, so
+every path a report echoes is the same on every machine.  The table records, per case:
 
 - the exit code;
 - the sha256 of stdout and of stderr, with the report timestamp blanked;
@@ -42,6 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from commkit.cli import main
+from commkit.constructions import halmos_pair_scaled
+from commkit.lazyops import compress
 from oracles import values_digest
 
 TABLE = Path(__file__).with_name("golden.json")
@@ -59,6 +61,42 @@ def _seeded_csv(seed: int, keep) -> str:
     )
 
 
+def _dense_json(a) -> str:
+    return json.dumps({"rows": len(a), "cols": len(a[0]), "data": np.ravel(a).tolist()})
+
+
+def _matrix_files_inputs(seed: int, n: int = 64) -> dict[str, str]:
+    """The matrix-files workload's inputs at size n, from the stdlib generator.
+
+    As in benchmarks/workloads.py: a nilpotent C at 1% density behind a
+    permutation, a trace-zero C, A, B and X = I - [A,B], and the sections of
+    the scaled pair at eps 0.5.  A and B hold integers below 16, so every
+    product a suite forms from A, B and X is exact, whatever the BLAS sums.
+    """
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    nil = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.01:
+                nil[perm[i]][perm[j]] = rng.uniform(0.5, 1.5)
+    tz = [[0.0 if i == j else rng.random() for j in range(n)] for i in range(n)]
+    a, b = (np.array([[float(rng.randrange(16)) for _ in range(n)] for _ in range(n)])
+            for _ in "ab")
+    pair = halmos_pair_scaled()
+    return {
+        "c_nilpotent.json": _dense_json(nil),
+        "c_tracezero.json": _dense_json(tz),
+        "a.json": _dense_json(a),
+        "b.json": _dense_json(b),
+        "x.json": _dense_json(np.identity(n) - (a @ b - b @ a)),
+        **{f"section_{key}.json": _dense_json(compress(op, n, 0.5))
+           for key, op in (("A", pair.a), ("B", pair.b), ("N", pair.nilpotent))},
+    }
+
+
+# Each case's directory holds the inputs its argv names, and no other.
 INPUTS = {
     "m.csv": "0,1\n0,0\n",
     "nil.csv": _seeded_csv(12, lambda i, j: i < j),
@@ -66,6 +104,14 @@ INPUTS = {
     "nan.json": '{"rows": 1, "cols": 1, "data": [NaN]}',
     "trunc.json": '{"rows": 2, "cols": 2, "data": [0, 1,',
     "bad.csv": "0,1_0\n0,0\n",
+    # Inputs whose commands leave the double range.
+    "big.csv": "1e200,1e200\n1e200,1e200\n",
+    "eye.csv": "1,0\n0,1\n",
+    "negx.csv": "-1.7e308,0\n0,-1.7e308\n",
+    "eps-c.csv": "0,1,0,5e298\n0,0,1,0\n0,0,0,1\n0,0,0,0\n",
+    "low.csv": "0,0\n1e308,0\n",
+    "tz-big.csv": "0,1.7e308\n1.7e308,0\n",
+    **_matrix_files_inputs(64),
 }
 
 _ABX = ["--input-a", "m.csv", "--input-b", "m.csv", "--input-x", "m.csv"]
@@ -152,6 +198,46 @@ def _cases() -> list[tuple[str, list[str], bool]]:
                ["verify", "popa", "--norm-a", "1", "--norm-b", norm, "--eps", "0.5"])
     for path in ("nan.json", "trunc.json", "bad.csv", "absent.csv"):
         refuse(f"read-{path}", ["factor", "tracezero", "--input", path, "--out", "f.json"])
+
+    # Every command path to a result that leaves the double range: exit 2.
+    refuse("range-sweep-1e-60", ["sweep", "--grid", "1e-60", "--window", "16", "--out", "s.json"])
+    for eps in ("1e-60", "1e-110"):
+        refuse(f"range-construct-halmos-{eps}",
+               ["construct-halmos", "--eps", eps, "--window", "16", "--out", "h.json"])
+    refuse("range-popa",
+           ["verify", "popa", "--norm-a", "1e200", "--norm-b", "1e200", "--eps", "0.5"])
+    refuse("range-wielandt", ["verify", "wielandt", "--input-a", "big.csv", "--input-b", "big.csv"])
+    refuse("range-power", ["verify", "power", "--input-a", "big.csv", "--input-b", "big.csv",
+                           "--input-x", "eye.csv"])
+    refuse("range-obstructions",
+           ["verify", "obstructions", "--input-a", "m.csv", "--input-b", "m.csv",
+            "--input-x", "negx.csv"])
+    for name, path, eps in (("diagonal", "m.csv", "1e-320"), ("eps-c", "eps-c.csv", "1e10"),
+                            ("products", "low.csv", "1")):
+        refuse(f"range-nilpotent-{name}",
+               ["factor", "nilpotent", "--input", path, "--eps", eps, "--out", "f.json"])
+    refuse("range-tracezero", ["factor", "tracezero", "--input", "tz-big.csv", "--out", "f.json"])
+
+    # The benchmark workloads' argv, with --json as they run it; matrix-files at n = 64.
+    def workload(name, argv, numpy_bits=False):
+        add("workload-" + name, ["--json", *argv], numpy_bits, both=False)
+
+    workload("sweep-norms",
+             ["sweep", "--grid", "0.1,0.4,0.05,0.2", "--window", "512", "--out", "s.json"], True)
+    for k, eps in enumerate(("0.2", "0.05", "0.4", "0.1")):
+        workload(f"halmos-exact-{k}",
+                 ["construct-halmos", "--eps", eps, "--window", "128", "--out", f"h{k}.json"], True)
+    workload("matrix-files-nilpotent", ["factor", "nilpotent", "--input", "c_nilpotent.json",
+                                        "--eps", "1", "--out", "f.json"], True)
+    workload("matrix-files-tracezero",
+             ["factor", "tracezero", "--input", "c_tracezero.json", "--out", "f.json"])
+    workload("matrix-files-obstructions", ["verify", "obstructions", "--input-a", "a.json",
+                                           "--input-b", "b.json", "--input-x", "x.json"])
+    workload("matrix-files-wielandt",
+             ["verify", "wielandt", "--input-a", "a.json", "--input-b", "b.json"])
+    workload("matrix-files-power",
+             ["verify", "power", "--input-a", "section_A.json", "--input-b", "section_B.json",
+              "--input-x", "section_N.json", "--n-max", "4", "--interior", "16"])
     return cases
 
 
@@ -165,7 +251,8 @@ def _sha(text: str) -> str:
 def run_case(argv: list[str], numpy_bits: bool) -> dict:
     """The table entry of main(argv), run in the current directory, which must be empty."""
     for name, text in INPUTS.items():
-        Path(name).write_text(text, encoding="utf-8")
+        if name in argv:
+            Path(name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))

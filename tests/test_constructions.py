@@ -205,7 +205,7 @@ class TestNilpotentFactorization:
 
     def test_rejects_entries_that_overflow_the_products(self):
         # A = diag(1, 2) and b_21 = 1e308, so (AB)_21 = 2e308.
-        with pytest.raises(DynamicRangeError, match="overflow B, AB or BA"):
+        with pytest.raises(DynamicRangeError, match="B, AB or BA overflows"):
             nilpotent_commutator_factors([[0.0, 0.0], [1e308, 0.0]], 1.0)
 
     def test_rejects_eps_times_c_out_of_range(self):
@@ -261,7 +261,7 @@ class TestTraceZeroFactorization:
 
     def test_rejects_negative_entries_that_overflow_the_products(self):
         # A = diag(1, 2) and b_12 = 1e308 / (1 - 2) = -1e308, so (BA)_12 = -2e308.
-        with pytest.raises(DynamicRangeError, match="overflow B, AB or BA"):
+        with pytest.raises(DynamicRangeError, match="B, AB or BA overflows"):
             trace_zero_commutator_factors([[0.0, 1e308], [0.0, 0.0]])
 
     def test_rejects_nonzero_trace(self):
